@@ -9,6 +9,7 @@ matrices that expand to individual reconstruction configs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,7 +143,14 @@ def _reject_unknown(mapping: dict, where: str) -> None:
 def _number(value: object, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{key} must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    # json accepts NaN and Infinity, which no dimension may take
+    if not math.isfinite(number):
+        raise ParseError(f"{key} must be a finite number, got {number}")
+    return number
 
 
 def _parse_phantom(data: object) -> Phantom:

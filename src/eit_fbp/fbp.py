@@ -61,23 +61,22 @@ def filter_gain(kind: FilterKind, f: float) -> float:
     """
     if not 0.0 <= f <= 1.0:
         raise FrequencyOutOfRange(f"normalized frequency {f} outside [0, 1]")
+    return float(_gains(kind, np.asarray(f, dtype=float)))
+
+
+def _gains(kind: FilterKind, f: np.ndarray) -> np.ndarray:
+    """:func:`filter_gain` at every normalized frequency in ``f``."""
     if kind is FilterKind.NONE:
-        return 1.0
+        return np.ones_like(f)
     if kind is FilterKind.RAM_LAK:
         return f
     if kind is FilterKind.SHEPP_LOGAN:
-        return f * _sinc(f / 2.0)
+        return f * np.sinc(f / 2.0)
     if kind is FilterKind.COSINE:
-        return f * math.cos(math.pi * f / 2.0)
+        return f * np.cos(np.pi * f / 2.0)
     if kind is FilterKind.HAMMING:
-        return f * (0.54 + 0.46 * math.cos(math.pi * f))
-    return f * 0.5 * (1.0 + math.cos(math.pi * f))  # Hann
-
-
-def _sinc(x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    return math.sin(math.pi * x) / (math.pi * x)
+        return f * (0.54 + 0.46 * np.cos(np.pi * f))
+    return f * 0.5 * (1.0 + np.cos(np.pi * f))  # Hann
 
 
 def filter_projection(p: Projection, kind: FilterKind) -> Projection:
@@ -95,7 +94,7 @@ def filter_projection(p: Projection, kind: FilterKind) -> Projection:
     padded[:n] = p.values
     spectrum = np.fft.rfft(padded)
     half = padded_len // 2
-    gains = np.array([filter_gain(kind, k / half) for k in range(half + 1)])
+    gains = _gains(kind, np.arange(half + 1) / half)
     filtered = np.fft.irfft(spectrum * gains, n=padded_len)[:n]
     return Projection(filtered, p.angle_deg, p.quantity)
 

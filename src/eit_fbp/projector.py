@@ -3,8 +3,10 @@
 The subject is cut into parallel strips of width ``slice_width`` along the
 rotated x-axis.  Each strip's conductance is the parallel sum of its material
 segments: every material contributes (strip area of that material) * sigma / d.
-Material areas use exact circular-strip integrals, so the total conductance
-summed over a projection is the same at every angle.
+Material areas are exact circular-strip integrals, so the total conductance
+summed over a projection is the same at every angle.  One angle is one array
+expression: each disk's strip edges, shifted by its rotated center and clamped
+to the disk, go through the chord antiderivative and are differenced.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phantom import Phantom, strip_area
+from .phantom import Phantom
 
 
 class Quantity(enum.Enum):
@@ -92,44 +94,46 @@ def slice_bounds(
     return lower, lower + slice_width
 
 
-def slice_conductance(phantom: Phantom, theta_deg: float, slice_index: int) -> float:
-    """Conductance of one strip at one rotation angle.
+def _strip_areas(radius: float, edges: np.ndarray) -> np.ndarray:
+    """Areas of a radius-``radius`` disk centered at 0 between consecutive edges."""
+    s = np.clip(edges, -radius, radius)
+    # d/ds [s*sqrt(r^2-s^2) + r^2*asin(s/r)] = 2*sqrt(r^2-s^2)
+    return np.diff(s * np.sqrt(radius * radius - s * s) + radius * radius * np.arcsin(s / radius))
 
-    Perturbation centers are rotated into the slicing frame; the background
-    area is the subject strip minus the perturbation strips (floored at 0).
-    """
-    lo, hi = slice_bounds(phantom.subject_radius, phantom.slice_width, slice_index)
+
+def project(phantom: Phantom, theta_deg: float, quantity: Quantity) -> Projection:
+    """All slice values for one rotation angle; a strip's background area is
+    the subject strip minus the perturbation strips, floored at 0."""
+    r = phantom.subject_radius
+    n = slice_count(r, phantom.slice_width)
+    edges = np.append(-r + np.arange(n) * phantom.slice_width, r)  # last strip takes the rest
+    subject = _strip_areas(r, edges)
     th = math.radians(theta_deg)
-    cos_t, sin_t = math.cos(th), math.sin(th)
-
-    background = strip_area(phantom.subject_radius, lo, hi)
-    total = 0.0
+    background = subject.copy()
+    total = np.zeros(n)
     for c in phantom.perturbations:
-        x_rot = c.center_x * cos_t + c.center_y * sin_t
-        area = strip_area(c.radius, lo - x_rot, hi - x_rot)
+        x_rot = c.center_x * math.cos(th) + c.center_y * math.sin(th)
+        area = _strip_areas(c.radius, edges - x_rot)
         background -= area
         total += area / c.resistivity
-    total += max(background, 0.0) / phantom.subject_resistivity
-    return total / phantom.depth
+    total += np.maximum(background, 0.0) / phantom.subject_resistivity
+    if quantity is Quantity.CONDUCTANCE:
+        values = total / phantom.depth
+    else:
+        values = np.divide(total, subject, out=np.zeros(n), where=subject != 0.0)
+    return Projection(values, theta_deg, quantity)
+
+
+def slice_conductance(phantom: Phantom, theta_deg: float, slice_index: int) -> float:
+    """Conductance of one strip at one rotation angle."""
+    slice_bounds(phantom.subject_radius, phantom.slice_width, slice_index)
+    return float(project(phantom, theta_deg, Quantity.CONDUCTANCE).values[slice_index])
 
 
 def slice_avg_conductivity(phantom: Phantom, theta_deg: float, slice_index: int) -> float:
     """Area-weighted mean conductivity of one strip; 0 for an empty strip."""
-    lo, hi = slice_bounds(phantom.subject_radius, phantom.slice_width, slice_index)
-    subject = strip_area(phantom.subject_radius, lo, hi)
-    if subject == 0.0:
-        return 0.0
-    return slice_conductance(phantom, theta_deg, slice_index) * phantom.depth / subject
-
-
-def project(phantom: Phantom, theta_deg: float, quantity: Quantity) -> Projection:
-    """All slice values for one rotation angle."""
-    n = slice_count(phantom.subject_radius, phantom.slice_width)
-    if quantity is Quantity.CONDUCTANCE:
-        values = [slice_conductance(phantom, theta_deg, j) for j in range(n)]
-    else:
-        values = [slice_avg_conductivity(phantom, theta_deg, j) for j in range(n)]
-    return Projection(np.array(values), theta_deg, quantity)
+    slice_bounds(phantom.subject_radius, phantom.slice_width, slice_index)
+    return float(project(phantom, theta_deg, Quantity.AVG_CONDUCTIVITY).values[slice_index])
 
 
 def sweep_angles(angle_step: float) -> tuple[float, ...]:
@@ -145,11 +149,5 @@ def sweep_angles(angle_step: float) -> tuple[float, ...]:
 def compute_sinogram(phantom: Phantom, angle_step: float, quantity: Quantity) -> Sinogram:
     """Projections at every sweep angle, assembled slice-major."""
     angles = sweep_angles(angle_step)
-    columns = [project(phantom, theta, quantity).values for theta in angles]
-    return Sinogram(
-        data=np.column_stack(columns),
-        angles_deg=angles,
-        quantity=quantity,
-        slice_width=phantom.slice_width,
-        subject_radius=phantom.subject_radius,
-    )
+    data = np.column_stack([project(phantom, theta, quantity).values for theta in angles])
+    return Sinogram(data, angles, quantity, phantom.slice_width, phantom.subject_radius)

@@ -265,6 +265,22 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert "divide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("subject_radius_mm", float("nan")), ("depth_mm", float("inf")), ("radius_mm", 10**400)],
+        ids=["nan", "infinity", "int_beyond_float"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, command, key, value):
+        doc = base_config(output_dir=str(tmp_path / "out"))
+        section = doc["phantom"]["perturbations"][0] if key == "radius_mm" else doc["phantom"]
+        section[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert f"{key} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import random_phantom
 from eit_fbp import (
@@ -16,9 +18,69 @@ from eit_fbp import (
     slice_bounds,
     slice_conductance,
     slice_count,
+    strip_area,
     sweep_angles,
     validate,
 )
+
+# angle steps in [1, 30] degrees that divide 180
+ANGLE_STEPS = [1, 1.5, 2, 2.5, 3, 4, 5, 6, 7.5, 9, 10, 12, 15, 18, 20, 22.5, 30]
+
+
+def scalar_reference(phantom: Phantom, angle_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conductance and average-conductivity sinograms, one strip at a time.
+
+    Each strip's material areas come from the scalar ``strip_area``; the
+    background is the subject strip minus the perturbation strips, floored at 0.
+    """
+    angles = sweep_angles(angle_step)
+    n = slice_count(phantom.subject_radius, phantom.slice_width)
+    conductance = np.zeros((n, len(angles)))
+    avg = np.zeros((n, len(angles)))
+    for a, theta in enumerate(angles):
+        th = math.radians(theta)
+        for j in range(n):
+            lo, hi = slice_bounds(phantom.subject_radius, phantom.slice_width, j)
+            subject = strip_area(phantom.subject_radius, lo, hi)
+            background = subject
+            total = 0.0
+            for c in phantom.perturbations:
+                x_rot = c.center_x * math.cos(th) + c.center_y * math.sin(th)
+                area = strip_area(c.radius, lo - x_rot, hi - x_rot)
+                background -= area
+                total += area / c.resistivity
+            total += max(background, 0.0) / phantom.subject_resistivity
+            conductance[j, a] = total / phantom.depth
+            avg[j, a] = 0.0 if subject == 0.0 else conductance[j, a] * phantom.depth / subject
+    return conductance, avg
+
+
+@st.composite
+def phantoms(draw) -> Phantom:
+    """Valid phantoms with 0-4 disjoint perturbations and 0.25-2 mm strips."""
+    radius = draw(st.floats(20.0, 50.0))
+    circles: list[Circle] = []
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.floats(0.5, 0.4 * radius))
+        dist = draw(st.floats(0.0, radius - r))
+        phi = draw(st.floats(0.0, 2.0 * math.pi))
+        c = Circle(dist * math.cos(phi), dist * math.sin(phi), r, 10.0 ** draw(st.floats(-4, -2)))
+        inside = math.hypot(c.center_x, c.center_y) + r <= radius
+        apart = all(
+            math.hypot(c.center_x - o.center_x, c.center_y - o.center_y) >= r + o.radius
+            for o in circles
+        )
+        if inside and apart:
+            circles.append(c)
+    return validate(
+        Phantom(
+            subject_radius=radius,
+            subject_resistivity=10.0 ** draw(st.floats(-4, -2)),
+            depth=draw(st.floats(0.5, 5.0)),
+            slice_width=draw(st.floats(0.25, 2.0)),
+            perturbations=tuple(circles),
+        )
+    )
 
 
 class TestSliceBounds:
@@ -149,6 +211,17 @@ class TestProject:
             ph = random_phantom(rng)
             for theta in (0.0, 30.0, 125.0):
                 assert np.all(project(ph, theta, Quantity.CONDUCTANCE).values >= 0.0)
+
+
+class TestScalarReference:
+    @settings(max_examples=15, deadline=None)
+    @given(phantom=phantoms(), angle_step=st.sampled_from(ANGLE_STEPS))
+    def test_sinograms_match_per_strip_reference(self, phantom, angle_step):
+        references = scalar_reference(phantom, angle_step)
+        for quantity, ref in zip((Quantity.CONDUCTANCE, Quantity.AVG_CONDUCTIVITY), references):
+            got = compute_sinogram(phantom, angle_step, quantity).data
+            tol = 1e-12 * np.abs(ref).max(axis=0)
+            assert np.all(np.abs(got - ref) <= tol), quantity
 
 
 class TestSinogram:
