@@ -30,12 +30,38 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run; no two recon configs may write the same artifacts."""
+
     phantom: Phantom
     angle_step: float
     quantities: tuple[Quantity, ...]
     recon: tuple[ReconConfig, ...]
     output_dir: str
     emit: tuple[str, ...]
+
+    def __post_init__(self):
+        seen = set()
+        for rc in self.recon:
+            stem = recon_stem(rc, self.recon)
+            if stem in seen:
+                raise ValidationError(
+                    f"recon repeats filter '{rc.filter.value}' x interp '{rc.interp.value}' "
+                    f"at grid_size {rc.grid_size} (normalize {str(rc.normalize).lower()}); "
+                    f"both would write the '<quantity>_{stem}' artifacts"
+                )
+            seen.add(stem)
+
+
+def grid_suffix(grid_size: int, recon: tuple[ReconConfig, ...]) -> str:
+    """Artifact-name suffix for one grid size: empty when every recon config
+    uses that size, else ``_g<N>``."""
+    return "" if all(rc.grid_size == grid_size for rc in recon) else f"_g{grid_size}"
+
+
+def recon_stem(rc: ReconConfig, recon: tuple[ReconConfig, ...]) -> str:
+    """Artifact-name stem of one of the ``recon`` configs, after its quantity prefix."""
+    raw = "" if rc.normalize else "_raw"
+    return f"{rc.filter.value}_{rc.interp.value}{raw}{grid_suffix(rc.grid_size, recon)}"
 
 
 def parse_config(path: str | Path) -> RunConfig:

@@ -1,16 +1,16 @@
 """Filtered back projection.
 
-Each projection column is filtered in the frequency domain (ramp times a
-smoothing window, on a zero-padded power-of-two FFT), then smeared back
-across the pixel grid along its projection lines and accumulated over angles
-with weight pi / n_angles.
+The whole sinogram is filtered at once in the frequency domain: one FFT down
+the slice axis, zero-padded to a power of two, times the ramp-times-window
+gains.  Each filtered column is then smeared back across the pixel grid along
+its projection lines and accumulated over angles with weight pi / n_angles.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,15 +88,20 @@ def filter_projection(p: Projection, kind: FilterKind) -> Projection:
     """
     if kind is FilterKind.NONE:
         return p
-    n = p.values.shape[0]
+    return Projection(_filter(p.values[:, None], kind)[:, 0], p.angle_deg, p.quantity)
+
+
+def _filter(values: np.ndarray, kind: FilterKind) -> np.ndarray:
+    """Filter every column of the (n_slices x n_columns) ``values`` at once.
+
+    ``rfft`` zero-pads each column to the next power of two >= 2N itself.
+    """
+    n = values.shape[0]
     padded_len = 1 << max(2 * n - 1, 1).bit_length()
-    padded = np.zeros(padded_len)
-    padded[:n] = p.values
-    spectrum = np.fft.rfft(padded)
+    spectrum = np.fft.rfft(values, n=padded_len, axis=0)
     half = padded_len // 2
-    gains = _gains(kind, np.arange(half + 1) / half)
-    filtered = np.fft.irfft(spectrum * gains, n=padded_len)[:n]
-    return Projection(filtered, p.angle_deg, p.quantity)
+    spectrum *= _gains(kind, np.arange(half + 1) / half)[:, None]
+    return np.fft.irfft(spectrum, n=padded_len, axis=0)[:n]
 
 
 def sample_projection(
@@ -117,15 +122,16 @@ def sample_projection(
     return float(_sample_values(p.values, np.array([t]), kind)[0])
 
 
-def _taps(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """values[idx] with zero extension outside [0, n)."""
-    n = values.shape[0]
-    ok = (idx >= 0) & (idx < n)
-    return np.where(ok, values[np.clip(idx, 0, n - 1)], 0.0)
+def _taps(padded: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """values[idx] with zero extension outside [0, n), where ``padded`` is
+    ``values`` with two zeros on each side: clipping lands every index out of
+    range on a zero."""
+    return padded[np.clip(idx + 2, 0, padded.shape[0] - 1)]
 
 
 def _sample_values(values: np.ndarray, t: np.ndarray, kind: InterpKind) -> np.ndarray:
     """Interpolate at fractional bin coordinates t (vectorized)."""
+    values = np.pad(values, 2)
     if kind is InterpKind.NEAREST:
         # round half away from zero
         j = np.trunc(t + np.copysign(0.5, t)).astype(np.int64)
@@ -180,21 +186,9 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
 
 def reconstruct(sino: Sinogram, config: ReconConfig) -> RasterImage:
     """Filter every column, back-project, and optionally min-max normalize."""
-    if config.filter is FilterKind.NONE:
-        filtered = sino
-    else:
-        columns = [
-            filter_projection(sino.column(a), config.filter).values
-            for a in range(sino.n_angles)
-        ]
-        filtered = Sinogram(
-            data=np.column_stack(columns),
-            angles_deg=sino.angles_deg,
-            quantity=sino.quantity,
-            slice_width=sino.slice_width,
-            subject_radius=sino.subject_radius,
-        )
-    image = back_project(filtered, config)
+    if config.filter is not FilterKind.NONE:
+        sino = replace(sino, data=_filter(sino.data, config.filter))
+    image = back_project(sino, config)
     if config.normalize:
         image = normalize_image(image)
     return image

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import RasterImage, inscribed_mask
+from .raster import RasterImage, masked_range
 
 PGM_MAXVAL = 65535
 PNG_MAXVAL = 255
@@ -22,15 +22,10 @@ PNG_MAXVAL = 255
 
 def _to_levels(img: RasterImage, maxval: int) -> tuple[np.ndarray, float, float]:
     """Quantize to [0, maxval]; a constant image maps to mid-gray."""
-    mask = inscribed_mask(img.size, img.extent) if img.masked else np.ones(
-        (img.size, img.size), dtype=bool
-    )
-    vals = img.pixels[mask]
-    lo = float(vals.min()) if vals.size else 0.0
-    hi = float(vals.max()) if vals.size else 0.0
+    mask, lo, hi = masked_range(img)
     out = np.zeros((img.size, img.size))
     if hi > lo:
-        out[mask] = (vals - lo) / (hi - lo) * maxval
+        out[mask] = (img.pixels[mask] - lo) / (hi - lo) * maxval
     else:
         out[mask] = maxval // 2
     levels = np.rint(np.clip(out, 0, maxval)).astype(np.uint32)

@@ -80,10 +80,15 @@ class Phantom:
 def validate(phantom: Phantom) -> Phantom:
     """Check every phantom invariant, returning the phantom unchanged if valid.
 
-    Raises NonPositiveDimension, PerturbationOutsideSubject or
-    OverlappingPerturbations; the error names the offending circle index
-    where one applies.
+    Raises NonPositiveDimension (also for NaN or infinite numbers),
+    PerturbationOutsideSubject or OverlappingPerturbations; the error names
+    the offending circle index where one applies.
     """
+    # NaN compares False with everything, so the range checks below would pass it
+    for name in ("subject_radius", "subject_resistivity", "depth", "slice_width"):
+        value = getattr(phantom, name)
+        if not math.isfinite(value):
+            raise NonPositiveDimension(f"{name} must be finite, got {value}")
     if phantom.subject_radius <= 0:
         raise NonPositiveDimension(f"subject_radius must be > 0, got {phantom.subject_radius}")
     if phantom.subject_resistivity <= 0:
@@ -100,6 +105,12 @@ def validate(phantom: Phantom) -> Phantom:
         )
 
     for i, c in enumerate(phantom.perturbations):
+        for name in ("center_x", "center_y", "radius", "resistivity"):
+            value = getattr(c, name)
+            if not math.isfinite(value):
+                raise NonPositiveDimension(
+                    f"perturbation {i}: {name} must be finite, got {value}", i
+                )
         if c.radius <= 0:
             raise NonPositiveDimension(f"perturbation {i}: radius must be > 0, got {c.radius}", i)
         if c.resistivity <= 0:

@@ -4,9 +4,11 @@ Artifact layout inside the output directory:
 
 * ``sinogram_<quantity>.csv``  -- header row of angles, one row per slice
 * ``target.pgm`` / ``target.png`` -- normalized ground-truth image
-  (suffixed ``_g<N>`` when recon configs use several grid sizes)
 * ``<quantity>_<filter>_<interp>[_raw].pgm/.png`` -- reconstructions
 * ``metrics.json`` -- config echo, metrics, timings and display mappings
+
+When the recon configs use several grid sizes, every image stem ends in
+``_g<N>``.
 
 CSV and image bytes depend only on the config, never on wall-clock state.
 """
@@ -18,7 +20,7 @@ import math
 import time
 from pathlib import Path
 
-from .config import RunConfig, config_to_dict
+from .config import RunConfig, config_to_dict, grid_suffix, recon_stem
 from .fbp import reconstruct
 from .imageio import write_pgm, write_png
 from .projector import Quantity, Sinogram, compute_sinogram
@@ -82,7 +84,7 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
         )
         targets[grid] = target
         if "target_image" in emit:
-            stem = "target" if len(grid_sizes) == 1 else f"target_g{grid}"
+            stem = "target" + grid_suffix(grid, config.recon)
             lo, hi = write_pgm(out_dir / f"{stem}.pgm", target)
             write_png(out_dir / f"{stem}.png", target)
             doc["targets"].append(
@@ -115,9 +117,7 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
                 "seconds": seconds,
             }
             if "recon_images" in emit:
-                stem = f"{QUANTITY_SHORT[quantity]}_{rc.filter.value}_{rc.interp.value}"
-                if not rc.normalize:
-                    stem += "_raw"
+                stem = f"{QUANTITY_SHORT[quantity]}_{recon_stem(rc, config.recon)}"
                 lo, hi = write_pgm(out_dir / f"{stem}.pgm", image)
                 write_png(out_dir / f"{stem}.png", image)
                 entry.update(

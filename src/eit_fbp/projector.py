@@ -71,9 +71,6 @@ class Sinogram:
     def n_angles(self) -> int:
         return self.data.shape[1]
 
-    def column(self, index: int) -> Projection:
-        return Projection(self.data[:, index], self.angles_deg[index], self.quantity)
-
 
 def slice_count(subject_radius: float, slice_width: float) -> int:
     """Number of strips covering [-R, R]: floor(2R / w)."""

@@ -91,23 +91,30 @@ def rasterize_target(
     return RasterImage(size=grid_size, pixels=img, extent=r, masked=True)
 
 
+def masked_range(img: RasterImage) -> tuple[np.ndarray, float, float]:
+    """Pixels that count (the inscribed circle when ``img.masked``, else all)
+    and their (lo, hi) range; (0, 0) when no pixel counts."""
+    mask = inscribed_mask(img.size, img.extent) if img.masked else np.ones(
+        (img.size, img.size), dtype=bool
+    )
+    vals = img.pixels[mask]
+    if not vals.size:
+        return mask, 0.0, 0.0
+    return mask, float(vals.min()), float(vals.max())
+
+
 def normalize_image(img: RasterImage) -> RasterImage:
     """Min-max normalize to [0, 1] over the masked region; mask zeros preserved.
 
     A constant masked region maps to 0.5 everywhere inside the mask, so a
     degenerate range never divides by zero.
     """
-    mask = inscribed_mask(img.size, img.extent) if img.masked else np.ones(
-        (img.size, img.size), dtype=bool
-    )
+    mask, lo, hi = masked_range(img)
     out = np.zeros((img.size, img.size))
-    vals = img.pixels[mask]
-    if vals.size:
-        lo, hi = vals.min(), vals.max()
-        if hi == lo:
-            out[mask] = 0.5
-        else:
-            out[mask] = (vals - lo) / (hi - lo)
+    if hi == lo:
+        out[mask] = 0.5
+    else:
+        out[mask] = (img.pixels[mask] - lo) / (hi - lo)
     return RasterImage(size=img.size, pixels=out, extent=img.extent, masked=img.masked)
 
 

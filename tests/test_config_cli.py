@@ -236,6 +236,18 @@ class TestRunPipeline:
         names = {p.name for p in (tmp_path / "out").iterdir()}
         assert {"target_g40.pgm", "target_g64.pgm", "target_g40.png", "target_g64.png"} <= names
         assert "target.pgm" not in names
+        # reconstructions take the same suffix, so the grid-40 image is not overwritten
+        assert {"avgcond_none_linear_g40.pgm", "avgcond_none_linear_g64.png"} <= names
+        assert "avgcond_none_linear.pgm" not in names
+        results = json.loads((tmp_path / "out" / "metrics.json").read_text())["results"]
+        assert [r["pgm"] for r in results] == [
+            "avgcond_none_linear_g40.pgm",
+            "avgcond_none_linear_g64.pgm",
+        ]
+        # entries that would write the same artifacts are rejected
+        doc["recon"].append({"filters": ["none"], "interps": ["linear"], "grid_size": 64})
+        with pytest.raises(ValidationError, match="grid_size 64"):
+            parse_config_dict(doc)
 
     def test_emit_subset_writes_only_requested(self, tmp_path):
         doc = base_config(emit=["metrics_json"], output_dir=str(tmp_path / "out"))
@@ -279,6 +291,20 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 2
         assert f"{key} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_override_that_collides_rejected(self, tmp_path, capsys):
+        doc = base_config(
+            recon=[
+                {"filters": ["none"], "interps": ["linear"], "grid_size": 40},
+                {"filters": ["none"], "interps": ["linear"], "grid_size": 80},
+            ],
+            output_dir=str(tmp_path / "out"),
+        )
+        path = tmp_path / "two_grids.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--grid", "48", "--quiet"]) == 2
+        assert "grid_size 48" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

@@ -23,6 +23,7 @@ from eit_fbp import (
     sample_projection,
     validate,
 )
+from eit_fbp.fbp import _filter
 
 WINDOWED = (
     FilterKind.RAM_LAK,
@@ -143,6 +144,18 @@ class TestFilterProjection:
         expected = dft_kernel_convolution(values, kind)
         out = filter_projection(make_projection(values), kind)
         np.testing.assert_allclose(out.values, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", WINDOWED)
+    @pytest.mark.parametrize("n", [1, 8, 33, 64, 80])
+    def test_whole_sinogram_matches_each_column(self, kind, n):
+        # reconstruct filters all columns in one call; criterion 05 checks one
+        values = np.random.default_rng(n).standard_normal((n, 7))
+        out = _filter(values, kind)
+        assert out.shape == values.shape
+        for a in range(values.shape[1]):
+            column = filter_projection(make_projection(values[:, a]), kind).values
+            scale = np.max(np.abs(values[:, a]))
+            np.testing.assert_allclose(out[:, a], column, rtol=0, atol=1e-12 * scale)
 
     def test_preserves_metadata(self):
         p = make_projection(np.arange(5.0), angle=35.0)

@@ -53,20 +53,39 @@ class TestValidate:
             {"depth": 0},
             {"slice_width": 0},
             {"slice_width": 41},  # wider than the subject radius
+            # every comparison with NaN is False, so these passed a plain <= 0 test
+            {"subject_radius": math.nan},
+            {"subject_radius": math.inf},
+            {"subject_resistivity": math.inf},
+            {"depth": math.inf},
+            {"slice_width": math.nan},
         ],
     )
     def test_bad_dimensions(self, kwargs):
         base = dict(subject_radius=40, subject_resistivity=0.0005, depth=2, slice_width=1)
         base.update(kwargs)
-        with pytest.raises(NonPositiveDimension):
+        with pytest.raises(NonPositiveDimension) as exc:
             validate(Phantom(**base))
+        assert next(iter(kwargs)) in str(exc.value)
 
-    @pytest.mark.parametrize("circle", [Circle(0, 0, -1, 0.0002), Circle(0, 0, 5, 0)])
+    @pytest.mark.parametrize(
+        "circle",
+        [
+            Circle(0, 0, -1, 0.0002),
+            Circle(0, 0, 5, 0),
+            Circle(math.nan, 0, 5, 0.0002),
+            Circle(0, math.nan, 5, 0.0002),
+            Circle(0, -math.inf, 5, 0.0002),
+            Circle(0, 0, math.nan, 0.0002),
+            Circle(0, 0, 5, math.inf),
+        ],
+    )
     def test_bad_circle_named_by_index(self, circle):
         ph = Phantom(40, 0.0005, 2, 1, (Circle(10, 10, 5, 0.0002), circle))
         with pytest.raises(NonPositiveDimension) as exc:
             validate(ph)
         assert exc.value.circle_index == 1
+        assert str(exc.value).startswith("perturbation 1:")
 
 
 class TestRotateCenter:
