@@ -20,13 +20,7 @@ from .fbp import FilterKind, filter_gain
 from .pipeline import QUANTITY_SHORT, run_pipeline
 from .projector import slice_count, sweep_angles
 
-_TABLE_FILTERS = (
-    FilterKind.RAM_LAK,
-    FilterKind.SHEPP_LOGAN,
-    FilterKind.COSINE,
-    FilterKind.HAMMING,
-    FilterKind.HANN,
-)
+_TABLE_FILTERS = tuple(kind for kind in FilterKind if kind is not FilterKind.NONE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,8 +105,10 @@ def main(argv: list[str] | None = None) -> int:
             for rc in cfg.recon:
                 m = reports[i]
                 i += 1
+                raw = "" if rc.normalize else " raw"
                 print(
-                    f"{QUANTITY_SHORT[quantity]} {rc.filter.value} {rc.interp.value}: "
+                    f"{QUANTITY_SHORT[quantity]} {rc.filter.value} {rc.interp.value}{raw} "
+                    f"grid {rc.grid_size}: "
                     f"rmse={m.rmse:.6g} pearson={m.pearson:.6g} psnr={m.psnr:.6g}"
                 )
         print(f"wrote artifacts to {cfg.output_dir}")

@@ -20,6 +20,21 @@ from .projector import InvalidAngleStep, Quantity, slice_count, sweep_angles
 EMIT_KINDS = ("sinogram_csv", "target_image", "recon_images", "metrics_json")
 
 
+# JSON key -> field of the object it sets, in the order the keys are checked
+PHANTOM_KEYS = {
+    "subject_radius_mm": "subject_radius",
+    "subject_resistivity_ohm_m": "subject_resistivity",
+    "depth_mm": "depth",
+    "slice_width_mm": "slice_width",
+}
+CIRCLE_KEYS = {
+    "center_x_mm": "center_x",
+    "center_y_mm": "center_y",
+    "radius_mm": "radius",
+    "resistivity_ohm_m": "resistivity",
+}
+
+
 class ParseError(ValueError):
     """Malformed config file: bad JSON, wrong type, or unknown key."""
 
@@ -113,17 +128,9 @@ def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON-ready echo of a RunConfig; re-parsing it round-trips."""
     return {
         "phantom": {
-            "subject_radius_mm": cfg.phantom.subject_radius,
-            "subject_resistivity_ohm_m": cfg.phantom.subject_resistivity,
-            "depth_mm": cfg.phantom.depth,
-            "slice_width_mm": cfg.phantom.slice_width,
+            **{key: getattr(cfg.phantom, field) for key, field in PHANTOM_KEYS.items()},
             "perturbations": [
-                {
-                    "center_x_mm": c.center_x,
-                    "center_y_mm": c.center_y,
-                    "radius_mm": c.radius,
-                    "resistivity_ohm_m": c.resistivity,
-                }
+                {key: getattr(c, field) for key, field in CIRCLE_KEYS.items()}
                 for c in cfg.phantom.perturbations
             ],
         },
@@ -179,14 +186,14 @@ def _number(value: object, key: str) -> float:
     return number
 
 
+def _numbers(mapping: dict, keys: dict[str, str]) -> dict[str, float]:
+    """The required number under each JSON key of ``keys``, by field name."""
+    return {field: _number(_take(mapping, key, required=True), key) for key, field in keys.items()}
+
+
 def _parse_phantom(data: object) -> Phantom:
     m = _mapping(data, "phantom")
-    radius = _number(_take(m, "subject_radius_mm", required=True), "subject_radius_mm")
-    resistivity = _number(
-        _take(m, "subject_resistivity_ohm_m", required=True), "subject_resistivity_ohm_m"
-    )
-    depth = _number(_take(m, "depth_mm", required=True), "depth_mm")
-    width = _number(_take(m, "slice_width_mm", required=True), "slice_width_mm")
+    dimensions = _numbers(m, PHANTOM_KEYS)
     raw = _take(m, "perturbations", default=[])
     _reject_unknown(m, "phantom")
     if not isinstance(raw, list):
@@ -194,24 +201,9 @@ def _parse_phantom(data: object) -> Phantom:
     circles = []
     for i, item in enumerate(raw):
         cm = _mapping(item, f"perturbations[{i}]")
-        circles.append(
-            Circle(
-                center_x=_number(_take(cm, "center_x_mm", required=True), "center_x_mm"),
-                center_y=_number(_take(cm, "center_y_mm", required=True), "center_y_mm"),
-                radius=_number(_take(cm, "radius_mm", required=True), "radius_mm"),
-                resistivity=_number(
-                    _take(cm, "resistivity_ohm_m", required=True), "resistivity_ohm_m"
-                ),
-            )
-        )
+        circles.append(Circle(**_numbers(cm, CIRCLE_KEYS)))
         _reject_unknown(cm, f"perturbations[{i}]")
-    return Phantom(
-        subject_radius=radius,
-        subject_resistivity=resistivity,
-        depth=depth,
-        slice_width=width,
-        perturbations=tuple(circles),
-    )
+    return Phantom(**dimensions, perturbations=tuple(circles))
 
 
 def _parse_quantities(data: object) -> tuple[Quantity, ...]:

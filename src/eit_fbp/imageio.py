@@ -8,13 +8,14 @@ for identical inputs.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .raster import RasterImage, masked_range
+from .raster import RasterImage, rescale
 
 PGM_MAXVAL = 65535
 PNG_MAXVAL = 255
@@ -22,14 +23,18 @@ PNG_MAXVAL = 255
 
 def _to_levels(img: RasterImage, maxval: int) -> tuple[np.ndarray, float, float]:
     """Quantize to [0, maxval]; a constant image maps to mid-gray."""
-    mask, lo, hi = masked_range(img)
-    out = np.zeros((img.size, img.size))
-    if hi > lo:
-        out[mask] = (img.pixels[mask] - lo) / (hi - lo) * maxval
-    else:
-        out[mask] = maxval // 2
+    out, lo, hi = rescale(img, maxval, maxval // 2)
     levels = np.rint(np.clip(out, 0, maxval)).astype(np.uint32)
     return levels, lo, hi
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` under a temporary name next to ``path``, then move it
+    into place, so ``path`` never holds a partly written file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def write_pgm(path: str | Path, img: RasterImage) -> tuple[float, float]:
@@ -37,7 +42,7 @@ def write_pgm(path: str | Path, img: RasterImage) -> tuple[float, float]:
     levels, lo, hi = _to_levels(img, PGM_MAXVAL)
     header = f"P5\n{img.size} {img.size}\n{PGM_MAXVAL}\n".encode("ascii")
     body = levels.astype(">u2").tobytes()
-    Path(path).write_bytes(header + body)
+    write_atomic(path, header + body)
     return lo, hi
 
 
@@ -62,5 +67,5 @@ def write_png(path: str | Path, img: RasterImage) -> tuple[float, float]:
         + chunk(b"IDAT", zlib.compress(raw, 9))
         + chunk(b"IEND", b"")
     )
-    Path(path).write_bytes(payload)
+    write_atomic(path, payload)
     return lo, hi

@@ -84,21 +84,16 @@ def validate(phantom: Phantom) -> Phantom:
     PerturbationOutsideSubject or OverlappingPerturbations; the error names
     the offending circle index where one applies.
     """
+    dimensions = ("subject_radius", "subject_resistivity", "depth", "slice_width")
     # NaN compares False with everything, so the range checks below would pass it
-    for name in ("subject_radius", "subject_resistivity", "depth", "slice_width"):
+    for name in dimensions:
         value = getattr(phantom, name)
         if not math.isfinite(value):
             raise NonPositiveDimension(f"{name} must be finite, got {value}")
-    if phantom.subject_radius <= 0:
-        raise NonPositiveDimension(f"subject_radius must be > 0, got {phantom.subject_radius}")
-    if phantom.subject_resistivity <= 0:
-        raise NonPositiveDimension(
-            f"subject_resistivity must be > 0, got {phantom.subject_resistivity}"
-        )
-    if phantom.depth <= 0:
-        raise NonPositiveDimension(f"depth must be > 0, got {phantom.depth}")
-    if phantom.slice_width <= 0:
-        raise NonPositiveDimension(f"slice_width must be > 0, got {phantom.slice_width}")
+    for name in dimensions:
+        value = getattr(phantom, name)
+        if value <= 0:
+            raise NonPositiveDimension(f"{name} must be > 0, got {value}")
     if phantom.slice_width > phantom.subject_radius:
         raise NonPositiveDimension(
             f"slice_width {phantom.slice_width} exceeds subject_radius {phantom.subject_radius}"

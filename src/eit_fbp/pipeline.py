@@ -6,6 +6,8 @@ Artifact layout inside the output directory:
 * ``target.pgm`` / ``target.png`` -- normalized ground-truth image
 * ``<quantity>_<filter>_<interp>[_raw].pgm/.png`` -- reconstructions
 * ``metrics.json`` -- config echo, metrics, timings and display mappings
+* ``INCOMPLETE`` -- present while a run is going and after one that failed
+  or was killed
 
 When the recon configs use several grid sizes, every image stem ends in
 ``_g<N>``.
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from .config import RunConfig, config_to_dict, grid_suffix, recon_stem
 from .fbp import reconstruct
-from .imageio import write_pgm, write_png
+from .imageio import write_atomic, write_pgm, write_png
 from .projector import Quantity, Sinogram, compute_sinogram
 from .raster import MetricsReport, TargetQuantity, compare, normalize_image, rasterize_target
 
@@ -31,10 +33,9 @@ QUANTITY_SHORT = {Quantity.CONDUCTANCE: "conductance", Quantity.AVG_CONDUCTIVITY
 
 def sinogram_csv_text(sino: Sinogram) -> str:
     """Angles as the header row, then one full-precision row per slice."""
-    lines = [",".join(repr(a) for a in sino.angles_deg)]
-    for row in sino.data:
-        lines.append(",".join("%.17e" % v for v in row))
-    return "\n".join(lines) + "\n"
+    header = ",".join(repr(a) for a in sino.angles_deg) + "\n"
+    row = ",".join(["%.17e"] * sino.n_angles) + "\n"
+    return "".join([header, *(row % tuple(values) for values in sino.data)])
 
 
 def _json_safe(value: float) -> float | str:
@@ -44,22 +45,26 @@ def _json_safe(value: float) -> float | str:
 def run_pipeline(config: RunConfig) -> list[MetricsReport]:
     """Run every quantity x recon combination, writing the requested artifacts.
 
-    On failure an ``INCOMPLETE`` marker naming the error is left in the
-    output directory so partial artifacts are never mistaken for a full run.
+    An ``INCOMPLETE`` marker is written before any artifact and removed only
+    once every artifact is in place, so a run that dies for any reason,
+    including being killed, is never mistaken for a full one.  On an
+    exception the marker names the error.  Each artifact is written under a
+    temporary name and moved into place, so none is ever a truncated file.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     marker = out_dir / "INCOMPLETE"
-    if marker.exists():
-        marker.unlink()
+    marker.write_text("pipeline running or killed\n")
     try:
-        return _run(config, out_dir)
+        reports = _run(config, out_dir)
     except Exception as e:
         try:
             marker.write_text(f"pipeline failed: {e}\n")
         except OSError:
             pass
         raise
+    marker.unlink()
+    return reports
 
 
 def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
@@ -73,7 +78,7 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
         sinograms[quantity] = sino
         if "sinogram_csv" in emit:
             name = f"sinogram_{QUANTITY_SHORT[quantity]}.csv"
-            (out_dir / name).write_text(sinogram_csv_text(sino))
+            write_atomic(out_dir / name, sinogram_csv_text(sino).encode("ascii"))
             doc["sinograms"].append({"quantity": quantity.value, "csv": name})
 
     grid_sizes = sorted({rc.grid_size for rc in config.recon})
@@ -126,7 +131,6 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
             doc["results"].append(entry)
 
     if "metrics_json" in emit:
-        with open(out_dir / "metrics.json", "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        write_atomic(out_dir / "metrics.json", text.encode("ascii"))
     return reports

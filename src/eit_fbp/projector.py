@@ -4,9 +4,10 @@ The subject is cut into parallel strips of width ``slice_width`` along the
 rotated x-axis.  Each strip's conductance is the parallel sum of its material
 segments: every material contributes (strip area of that material) * sigma / d.
 Material areas are exact circular-strip integrals, so the total conductance
-summed over a projection is the same at every angle.  One angle is one array
-expression: each disk's strip edges, shifted by its rotated center and clamped
-to the disk, go through the chord antiderivative and are differenced.
+summed over a projection is the same at every angle.  The whole sinogram is
+one array expression: each disk's strip edges, shifted by its rotated center at
+every angle and clamped to the disk, go through the chord antiderivative and
+are differenced along the slices.
 """
 
 from __future__ import annotations
@@ -92,33 +93,38 @@ def slice_bounds(
 
 
 def _strip_areas(radius: float, edges: np.ndarray) -> np.ndarray:
-    """Areas of a radius-``radius`` disk centered at 0 between consecutive edges."""
+    """Areas of a radius-``radius`` disk centered at 0 between consecutive rows of edges."""
     s = np.clip(edges, -radius, radius)
     # d/ds [s*sqrt(r^2-s^2) + r^2*asin(s/r)] = 2*sqrt(r^2-s^2)
-    return np.diff(s * np.sqrt(radius * radius - s * s) + radius * radius * np.arcsin(s / radius))
+    f = s * np.sqrt(radius * radius - s * s) + radius * radius * np.arcsin(s / radius)
+    return np.diff(f, axis=0)
 
 
-def project(phantom: Phantom, theta_deg: float, quantity: Quantity) -> Projection:
-    """All slice values for one rotation angle; a strip's background area is
-    the subject strip minus the perturbation strips, floored at 0."""
+def _sinogram(phantom: Phantom, angles_deg: tuple[float, ...], quantity: Quantity) -> np.ndarray:
+    """Slice-major (n_slices x len(angles_deg)) values; a strip's background
+    area is the subject strip minus the perturbation strips, floored at 0."""
     r = phantom.subject_radius
     n = slice_count(r, phantom.slice_width)
-    edges = np.append(-r + np.arange(n) * phantom.slice_width, r)  # last strip takes the rest
-    subject = _strip_areas(r, edges)
-    th = math.radians(theta_deg)
-    background = subject.copy()
-    total = np.zeros(n)
+    # one column of strip edges; the last strip takes the rest
+    edges = np.append(-r + np.arange(n) * phantom.slice_width, r)[:, None]
+    subject = _strip_areas(r, edges)  # the same at every angle
+    background = np.repeat(subject, len(angles_deg), axis=1)
+    total = np.zeros_like(background)
+    turns = [(math.cos(th), math.sin(th)) for th in map(math.radians, angles_deg)]
     for c in phantom.perturbations:
-        x_rot = c.center_x * math.cos(th) + c.center_y * math.sin(th)
+        x_rot = np.array([c.center_x * cos + c.center_y * sin for cos, sin in turns])
         area = _strip_areas(c.radius, edges - x_rot)
         background -= area
         total += area / c.resistivity
     total += np.maximum(background, 0.0) / phantom.subject_resistivity
     if quantity is Quantity.CONDUCTANCE:
-        values = total / phantom.depth
-    else:
-        values = np.divide(total, subject, out=np.zeros(n), where=subject != 0.0)
-    return Projection(values, theta_deg, quantity)
+        return np.divide(total, phantom.depth, out=total)
+    return np.divide(total, subject, out=np.zeros_like(total), where=subject != 0.0)
+
+
+def project(phantom: Phantom, theta_deg: float, quantity: Quantity) -> Projection:
+    """All slice values for one rotation angle."""
+    return Projection(_sinogram(phantom, (theta_deg,), quantity)[:, 0], theta_deg, quantity)
 
 
 def slice_conductance(phantom: Phantom, theta_deg: float, slice_index: int) -> float:
@@ -144,7 +150,7 @@ def sweep_angles(angle_step: float) -> tuple[float, ...]:
 
 
 def compute_sinogram(phantom: Phantom, angle_step: float, quantity: Quantity) -> Sinogram:
-    """Projections at every sweep angle, assembled slice-major."""
+    """Projections at every sweep angle, slice-major."""
     angles = sweep_angles(angle_step)
-    data = np.column_stack([project(phantom, theta, quantity).values for theta in angles])
+    data = _sinogram(phantom, angles, quantity)
     return Sinogram(data, angles, quantity, phantom.slice_width, phantom.subject_radius)

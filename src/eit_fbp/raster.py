@@ -83,7 +83,7 @@ def rasterize_target(
         return resistivity
 
     img = np.zeros((grid_size, grid_size))
-    inside = gx * gx + gy * gy <= r * r
+    inside = inscribed_mask(grid_size, r)
     img[inside] = level(phantom.subject_resistivity)
     for c in phantom.perturbations:
         hit = (gx - c.center_x) ** 2 + (gy - c.center_y) ** 2 <= c.radius * c.radius
@@ -91,30 +91,40 @@ def rasterize_target(
     return RasterImage(size=grid_size, pixels=img, extent=r, masked=True)
 
 
-def masked_range(img: RasterImage) -> tuple[np.ndarray, float, float]:
-    """Pixels that count (the inscribed circle when ``img.masked``, else all)
-    and their (lo, hi) range; (0, 0) when no pixel counts."""
-    mask = inscribed_mask(img.size, img.extent) if img.masked else np.ones(
-        (img.size, img.size), dtype=bool
-    )
+def _region(img: RasterImage) -> np.ndarray:
+    """Pixels that count: the inscribed circle when ``img.masked``, else all."""
+    if img.masked:
+        return inscribed_mask(img.size, img.extent)
+    return np.ones((img.size, img.size), dtype=bool)
+
+
+def rescale(img: RasterImage, top: float, flat: float) -> tuple[np.ndarray, float, float]:
+    """Map the counted pixels affinely from their (lo, hi) range onto [0, top].
+
+    Returns the mapped array, 0 outside the counted region, and (lo, hi).
+    A region without spread maps to ``flat``, so a degenerate range never
+    divides by zero; (lo, hi) is (0, 0) when no pixel counts.
+    """
+    mask = _region(img)
     vals = img.pixels[mask]
-    if not vals.size:
-        return mask, 0.0, 0.0
-    return mask, float(vals.min()), float(vals.max())
+    lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (0.0, 0.0)
+    if hi > lo:
+        vals -= lo
+        vals /= hi - lo
+        vals *= top
+    else:
+        vals[:] = flat
+    out = np.zeros((img.size, img.size))
+    out[mask] = vals
+    return out, lo, hi
 
 
 def normalize_image(img: RasterImage) -> RasterImage:
     """Min-max normalize to [0, 1] over the masked region; mask zeros preserved.
 
-    A constant masked region maps to 0.5 everywhere inside the mask, so a
-    degenerate range never divides by zero.
+    A constant masked region maps to 0.5 everywhere inside the mask.
     """
-    mask, lo, hi = masked_range(img)
-    out = np.zeros((img.size, img.size))
-    if hi == lo:
-        out[mask] = 0.5
-    else:
-        out[mask] = (img.pixels[mask] - lo) / (hi - lo)
+    out, _, _ = rescale(img, 1.0, 0.5)
     return RasterImage(size=img.size, pixels=out, extent=img.extent, masked=img.masked)
 
 
@@ -128,10 +138,7 @@ def compare(a: RasterImage, b: RasterImage) -> MetricsReport:
         raise SizeMismatch(
             f"image geometry mismatch: {a.size}/{a.extent} vs {b.size}/{b.extent}"
         )
-    if a.masked or b.masked:
-        mask = inscribed_mask(a.size, a.extent)
-    else:
-        mask = np.ones((a.size, a.size), dtype=bool)
+    mask = _region(a) & _region(b)
     va = a.pixels[mask]
     vb = b.pixels[mask]
 

@@ -1,4 +1,8 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -224,6 +228,43 @@ class TestRunPipeline:
         assert marker.exists()
         assert "injected failure" in marker.read_text()
 
+    @pytest.mark.parametrize("kill_in", ["compare", "replace"])
+    def test_killed_run_leaves_incomplete_marker(self, fixtures_dir, tmp_path, kill_in):
+        # SIGKILL runs no handler, so only a marker written up front can survive it
+        cfg = parse_config(fixtures_dir / "one_perturbation_q10.json")
+        run_pipeline(replace(cfg, output_dir=str(tmp_path / "full")))
+        patch = "p.compare = kill" if kill_in == "compare" else "os.replace = kill"
+        script = (
+            "import dataclasses, os, signal, sys\n"
+            "import eit_fbp.pipeline as p\n"
+            "from eit_fbp.config import parse_config\n"
+            "def kill(*args, **kwargs):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            f"{patch}\n"
+            "cfg = parse_config(sys.argv[1])\n"
+            "p.run_pipeline(dataclasses.replace(cfg, output_dir=sys.argv[2]))\n"
+        )
+        config = str(fixtures_dir / "one_perturbation_q10.json")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, config, str(tmp_path / "killed")],
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        out = tmp_path / "killed"
+        assert (out / "INCOMPLETE").exists()
+        finished = {p.name for p in (tmp_path / "full").iterdir()}
+        left = {p.name for p in out.iterdir()} - {"INCOMPLETE"}
+        if kill_in == "compare":
+            # the sinograms and targets were done; nothing was being written
+            assert left == {n for n in finished if n.startswith(("sinogram_", "target."))}
+        else:
+            # killed before the first artifact moved into place
+            assert left == {"sinogram_avgcond.csv.tmp"}
+        for name in left & finished:
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
     def test_multiple_grid_sizes_write_one_target_each(self, tmp_path):
         doc = base_config(
             recon=[
@@ -342,7 +383,26 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "avgcond none linear" in out
+        assert "avgcond none linear grid 40: rmse=" in out
         assert "wrote artifacts" in out
+        # entries differing only in grid size or normalize print distinct lines
+        doc = base_config(
+            recon=[
+                {"filters": ["none"], "interps": ["linear"], "grid_size": 40},
+                {"filters": ["none"], "interps": ["linear"], "grid_size": 80},
+                {"filters": ["none"], "interps": ["linear"], "grid_size": 80, "normalize": False},
+            ],
+            output_dir=str(tmp_path / "two_grids"),
+        )
+        path = tmp_path / "two_grids.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines[:-1]] == [
+            "avgcond none linear grid 40",
+            "avgcond none linear grid 80",
+            "avgcond none linear raw grid 80",
+        ]
 
     def test_runtime_error_exit_code(self, fixtures_dir, tmp_path, capsys):
         clobber = tmp_path / "file_in_the_way"

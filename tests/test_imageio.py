@@ -67,6 +67,8 @@ class TestPgm:
         assert lo == hi == 3.0
         _, data = read_pgm(tmp_path / "c.pgm")
         assert np.all(data == 65535 // 2)
+        assert write_png(tmp_path / "c.png", img) == (3.0, 3.0)
+        assert np.all(read_png(tmp_path / "c.png") == 127)
 
     def test_deterministic_bytes(self, tmp_path, target):
         write_pgm(tmp_path / "a.pgm", target)

@@ -106,6 +106,21 @@ class TestCompare:
         assert ab.rmse == ba.rmse
         assert ab.pearson == pytest.approx(ba.pearson, abs=1e-15)
 
+    def test_masked_against_unmasked_ignores_outside_circle(self, one_perturbation):
+        a, flipped = self.make_pair(one_perturbation)
+        mask = inscribed_mask(80, 40)
+        outside = np.random.default_rng(0).uniform(5.0, 9.0, (80, 80))
+        same = RasterImage(80, np.where(mask, a.pixels, outside), 40.0, masked=False)
+        other = RasterImage(80, np.where(mask, flipped.pixels, outside), 40.0, masked=False)
+        for x, y in ((a, same), (same, a)):
+            m = compare(x, y)
+            assert m.rmse == 0.0
+            assert m.pearson == pytest.approx(1.0, abs=1e-12)
+        ab, ba = compare(a, other), compare(other, a)
+        assert ab == ba
+        assert ab == compare(a, flipped)
+        assert ab.pearson == pytest.approx(-1.0, abs=1e-12)
+
     def test_constant_image_pearson_is_zero(self, homogeneous, one_perturbation):
         const = normalize_image(rasterize_target(homogeneous, 80))
         other = normalize_image(rasterize_target(one_perturbation, 80))
