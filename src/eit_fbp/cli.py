@@ -18,7 +18,7 @@ import sys
 from .config import ParseError, RunConfig, ValidationError, parse_config
 from .fbp import FilterKind, filter_gain
 from .pipeline import QUANTITY_SHORT, run_pipeline
-from .projector import slice_count, sweep_angles
+from .projector import angle_count, slice_count
 
 _TABLE_FILTERS = tuple(kind for kind in FilterKind if kind is not FilterKind.NONE)
 
@@ -79,9 +79,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "validate":
         n = slice_count(cfg.phantom.subject_radius, cfg.phantom.slice_width)
-        angles = sweep_angles(cfg.angle_step)
         print(
-            f"config OK: {n} slices, {len(angles)} angles, "
+            f"config OK: {n} slices, {angle_count(cfg.angle_step)} angles, "
             f"{len(cfg.phantom.perturbations)} perturbations, "
             f"{len(cfg.quantities)} quantities, {len(cfg.recon)} recon configs"
         )

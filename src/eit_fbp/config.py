@@ -15,9 +15,16 @@ from pathlib import Path
 
 from .fbp import FilterKind, InterpKind, ReconConfig
 from .phantom import Circle, Phantom, PhantomError, validate
-from .projector import InvalidAngleStep, Quantity, slice_count, sweep_angles
+from .projector import InvalidAngleStep, Quantity, angle_count, slice_count
 
 EMIT_KINDS = ("sinogram_csv", "target_image", "recon_images", "metrics_json")
+
+# Caps on the work one config may ask for, far above every config in
+# fixtures/ and the benchmark (at most 320 slices x 180 angles = 57,600
+# sinogram values, and 320^2 pixels x 180 angles = 1.8e7 samples per back
+# projection).  A sinogram at the cap takes 80 MB per quantity.
+MAX_SINOGRAM_VALUES = 10**7  # n_slices x n_angles
+MAX_BACKPROJECTION_SAMPLES = 10**9  # grid_size^2 x n_angles, per recon entry
 
 
 # JSON key -> field of the object it sets, in the order the keys are checked
@@ -45,7 +52,8 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run; no two recon configs may write the same artifacts."""
+    """A validated run; no two recon configs may write the same artifacts, and
+    none may back-project more than MAX_BACKPROJECTION_SAMPLES samples."""
 
     phantom: Phantom
     angle_step: float
@@ -55,8 +63,15 @@ class RunConfig:
     emit: tuple[str, ...]
 
     def __post_init__(self):
+        n_angles = angle_count(self.angle_step)
         seen = set()
         for rc in self.recon:
+            if rc.grid_size**2 * n_angles > MAX_BACKPROJECTION_SAMPLES:
+                raise ValidationError(
+                    f"recon grid_size {rc.grid_size} and angle_step_deg {self.angle_step:g} ask "
+                    f"for {rc.grid_size}^2 pixels x {n_angles} angles, more than "
+                    f"{MAX_BACKPROJECTION_SAMPLES:.0e} back-projection samples"
+                )
             stem = recon_stem(rc, self.recon)
             if stem in seen:
                 raise ValidationError(
@@ -89,6 +104,9 @@ def parse_config(path: str | Path) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    # an integer literal longer than int() accepts, or nesting deeper than the stack
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"{path}: {e}") from e
     return parse_config_dict(data)
 
 
@@ -98,27 +116,36 @@ def parse_config_dict(data: object) -> RunConfig:
     phantom = _parse_phantom(_take(top, "phantom", required=True))
     angle_step = _number(_take(top, "angle_step_deg", required=True), "angle_step_deg")
     quantities = _parse_quantities(_take(top, "quantities", required=True))
-    recon = _parse_recon(_take(top, "recon", required=True), phantom)
+    recon = _take(top, "recon", required=True)
     output_dir = _take(top, "output_dir", default="out")
     if not isinstance(output_dir, str):
         raise ParseError(f"output_dir must be a string, got {type(output_dir).__name__}")
     emit = _parse_emit(_take(top, "emit", default=list(EMIT_KINDS)))
     _reject_unknown(top, "config")
 
+    # the phantom and the sweep are checked before anything is computed from them
     try:
         validate(phantom)
     except PhantomError as e:
         raise ValidationError(f"invalid phantom: {e}") from e
     try:
-        sweep_angles(angle_step)
+        n_angles = angle_count(angle_step)
     except InvalidAngleStep as e:
         raise ValidationError(str(e)) from e
+    # 2R / w as a float, so an absurd slice count is rejected, never built
+    slices = 2.0 * phantom.subject_radius / phantom.slice_width
+    if slices * n_angles > MAX_SINOGRAM_VALUES:
+        raise ValidationError(
+            f"subject_radius_mm {phantom.subject_radius:g}, slice_width_mm "
+            f"{phantom.slice_width:g} and angle_step_deg {angle_step:g} ask for {slices:.3g} "
+            f"slices x {n_angles:.3g} angles, more than {MAX_SINOGRAM_VALUES:.0e} sinogram values"
+        )
 
     return RunConfig(
         phantom=phantom,
         angle_step=float(angle_step),
         quantities=quantities,
-        recon=recon,
+        recon=_parse_recon(recon, slice_count(phantom.subject_radius, phantom.slice_width)),
         output_dir=output_dir,
         emit=emit,
     )
@@ -225,10 +252,9 @@ def _parse_quantities(data: object) -> tuple[Quantity, ...]:
     return tuple(out)
 
 
-def _parse_recon(data: object, phantom: Phantom) -> tuple[ReconConfig, ...]:
+def _parse_recon(data: object, default_grid: int) -> tuple[ReconConfig, ...]:
     if not isinstance(data, list):
         raise ParseError("recon must be a list")
-    default_grid = slice_count(phantom.subject_radius, phantom.slice_width)
     out: list[ReconConfig] = []
     for i, item in enumerate(data):
         m = _mapping(item, f"recon[{i}]")

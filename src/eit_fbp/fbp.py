@@ -4,6 +4,8 @@ The whole sinogram is filtered at once in the frequency domain: one FFT down
 the slice axis, zero-padded to a power of two, times the ramp-times-window
 gains.  Each filtered column is then smeared back across the pixel grid along
 its projection lines and accumulated over angles with weight pi / n_angles.
+One basis matrix per interpolation kind turns every column into a table of
+polynomial pieces, which is evaluated at the pixels by Horner's rule.
 """
 
 from __future__ import annotations
@@ -118,41 +120,42 @@ def sample_projection(
     """
     if abs(s) > subject_radius:
         return 0.0
-    t = (s + subject_radius - slice_width / 2.0) / slice_width
-    return float(_sample_values(p.values, np.array([t]), kind)[0])
+    work = np.array([[(s + subject_radius - slice_width / 2.0) / slice_width], [0.0], [0.0]])
+    return float(_interpolate(_pieces(p.values[None, :], kind)[0], kind, work, np.empty(1, int))[0])
 
 
-def _taps(padded: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """values[idx] with zero extension outside [0, n), where ``padded`` is
-    ``values`` with two zeros on each side: clipping lands every index out of
-    range on a zero."""
-    return padded[np.clip(idx + 2, 0, padded.shape[0] - 1)]
+# Rows: coefficients of the piece on [j, j + 1), highest power first; columns: bins j - 1 .. j + 2
+_BASIS = {
+    InterpKind.NEAREST: np.array([[0.0, 1, 0, 0]]),
+    InterpKind.LINEAR: np.array([[0.0, -1, 1, 0], [0, 1, 0, 0]]),
+    InterpKind.SPLINE: np.array([[-1, 3, -3, 1], [2, -5, 4, -1], [-1, 0, 1, 0], [0, 2, 0, 0]]) / 2,
+}
 
 
-def _sample_values(values: np.ndarray, t: np.ndarray, kind: InterpKind) -> np.ndarray:
-    """Interpolate at fractional bin coordinates t (vectorized)."""
-    values = np.pad(values, 2)
-    if kind is InterpKind.NEAREST:
-        # round half away from zero
-        j = np.trunc(t + np.copysign(0.5, t)).astype(np.int64)
-        return _taps(values, j)
-    j0 = np.floor(t).astype(np.int64)
-    u = t - j0
-    if kind is InterpKind.LINEAR:
-        return (1.0 - u) * _taps(values, j0) + u * _taps(values, j0 + 1)
-    # Catmull-Rom cubic over the four surrounding bins
-    pm1 = _taps(values, j0 - 1)
-    p0 = _taps(values, j0)
-    p1 = _taps(values, j0 + 1)
-    p2 = _taps(values, j0 + 2)
-    u2 = u * u
-    u3 = u2 * u
-    return 0.5 * (
-        (2.0 * p0)
-        + (p1 - pm1) * u
-        + (2.0 * pm1 - 5.0 * p0 + 4.0 * p1 - p2) * u2
-        + (3.0 * p0 - 3.0 * p1 + p2 - pm1) * u3
-    )
+def _pieces(rows: np.ndarray, kind: InterpKind) -> np.ndarray:
+    """Piece tables (rows x coefficients x n_bins + 5), piece k on [k - 3, k - 2), of rows
+    padded with four zeros each side; ``einsum`` keeps threaded BLAS out of it."""
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(rows, ((0, 0), (4, 4))), 4, axis=1)
+    return np.einsum("cw,akw->ack", _BASIS[kind], windows, order="C")
+
+
+def _interpolate(
+    table: np.ndarray, kind: InterpKind, work: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """One row's piece table at the bin coordinates in ``work[0]`` by Horner's rule, clipping
+    onto the zero end pieces; ``work`` (three float arrays) and ``index`` are overwritten."""
+    t, value, scratch = work
+    if kind is InterpKind.NEAREST:  # round half away from zero
+        np.trunc(np.add(t, np.copysign(0.5, t, out=scratch), out=scratch), out=scratch)
+    else:
+        np.floor(t, out=scratch)
+        t -= scratch  # offset into the piece
+    np.add(scratch, 3, out=index, casting="unsafe")  # the piece on [j, j + 1)
+    np.take(table[0], index, out=value, mode="clip")
+    for coefficients in table[1:]:
+        value *= t
+        value += np.take(coefficients, index, out=scratch, mode="clip")
+    return value
 
 
 def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
@@ -160,25 +163,24 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
 
     Pixel centers span [-R, R]^2; each angle contributes its sampled column
     times d_theta = pi / n_angles, and pixels outside the inscribed circle
-    are zeroed.
+    are zeroed, which covers every pixel with |s| > R.
     """
     if sino.data.size == 0 or sino.n_angles == 0:
         raise EmptySinogram("sinogram has no data")
     size = config.grid_size
     r = sino.subject_radius
-    w = sino.slice_width
     xs, ys = pixel_centers(size, r)
-    gx = xs[None, :]
-    gy = ys[:, None]
 
     acc = np.zeros((size, size))
-    for a, theta in enumerate(sino.angles_deg):
-        th = math.radians(theta)
-        s = gx * math.cos(th) + gy * math.sin(th)
-        t = (s + r - w / 2.0) / w
-        contrib = _sample_values(sino.data[:, a], t, config.interp)
-        contrib[np.abs(s) > r] = 0.0
-        acc += contrib
+    # grid^2 buffers allocated once: fresh ones per angle cost more in page faults
+    work = np.empty((3, size, size))
+    index = np.empty((size, size), dtype=int)
+    for table, th in zip(_pieces(sino.data.T, config.interp), map(math.radians, sino.angles_deg)):
+        t = np.add(xs * math.cos(th), ys[:, None] * math.sin(th), out=work[0])
+        t += r
+        t -= sino.slice_width / 2.0
+        t /= sino.slice_width
+        acc += _interpolate(table, config.interp, work, index)
     acc *= math.pi / sino.n_angles
     acc[~inscribed_mask(size, r)] = 0.0
     return RasterImage(size=size, pixels=acc, extent=r, masked=True)

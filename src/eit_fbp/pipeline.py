@@ -29,6 +29,8 @@ from .projector import Quantity, Sinogram, compute_sinogram
 from .raster import MetricsReport, TargetQuantity, compare, normalize_image, rasterize_target
 
 QUANTITY_SHORT = {Quantity.CONDUCTANCE: "conductance", Quantity.AVG_CONDUCTIVITY: "avgcond"}
+# the temporaries write_atomic leaves behind when a run is killed mid-write
+_TEMPORARIES = ("*.csv.tmp", "*.pgm.tmp", "*.png.tmp", "metrics.json.tmp")
 
 
 def sinogram_csv_text(sino: Sinogram) -> str:
@@ -49,13 +51,17 @@ def run_pipeline(config: RunConfig) -> list[MetricsReport]:
     once every artifact is in place, so a run that dies for any reason,
     including being killed, is never mistaken for a full one.  On an
     exception the marker names the error.  Each artifact is written under a
-    temporary name and moved into place, so none is ever a truncated file.
+    temporary name and moved into place, so none is ever a truncated file;
+    temporaries a killed run left behind are deleted first.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     marker = out_dir / "INCOMPLETE"
     marker.write_text("pipeline running or killed\n")
     try:
+        for pattern in _TEMPORARIES:
+            for stale in out_dir.glob(pattern):
+                stale.unlink(missing_ok=True)
         reports = _run(config, out_dir)
     except Exception as e:
         try:

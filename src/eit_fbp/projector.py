@@ -139,14 +139,20 @@ def slice_avg_conductivity(phantom: Phantom, theta_deg: float, slice_index: int)
     return float(project(phantom, theta_deg, Quantity.AVG_CONDUCTIVITY).values[slice_index])
 
 
-def sweep_angles(angle_step: float) -> tuple[float, ...]:
-    """Half-open sweep 0, step, ..., 180 - step; the step must divide 180."""
+def angle_count(angle_step: float) -> int:
+    """Number of angles in the sweep of ``angle_step``, which must divide 180."""
     if angle_step <= 0:
         raise InvalidAngleStep(f"angle step must be > 0, got {angle_step}")
-    n = round(180.0 / angle_step)
+    turns = 180.0 / angle_step  # inf for a step below about 1e-306
+    n = round(turns) if math.isfinite(turns) else 0
     if n < 1 or abs(n * angle_step - 180.0) > 1e-9:
         raise InvalidAngleStep(f"angle step {angle_step} does not divide 180 evenly")
-    return tuple(i * angle_step for i in range(n))
+    return n
+
+
+def sweep_angles(angle_step: float) -> tuple[float, ...]:
+    """Half-open sweep 0, step, ..., 180 - step; the step must divide 180."""
+    return tuple(i * angle_step for i in range(angle_count(angle_step)))
 
 
 def compute_sinogram(phantom: Phantom, angle_step: float, quantity: Quantity) -> Sinogram:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eit_fbp.pipeline
 from eit_fbp import (
@@ -15,6 +17,7 @@ from eit_fbp import (
     InterpKind,
     ParseError,
     Quantity,
+    RunConfig,
     ValidationError,
     compute_sinogram,
     config_to_dict,
@@ -23,7 +26,7 @@ from eit_fbp import (
     slice_count,
 )
 from eit_fbp.cli import main
-from eit_fbp.config import parse_config_dict
+from eit_fbp.config import CIRCLE_KEYS, EMIT_KINDS, PHANTOM_KEYS, parse_config_dict
 
 ALL_FIXTURES = sorted(
     p.name for p in (Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")
@@ -100,6 +103,20 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="line 2"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            (json.dumps(base_config(angle_step_deg=12345)).replace("12345", "9" * 5000), "digits"),
+            ('{"phantom": ' + "[" * 100_000 + "]" * 100_000 + "}", "recursion"),
+        ],
+        ids=["long_integer", "deep_nesting"],
+    )
+    def test_json_the_decoder_cannot_hold(self, tmp_path, text, fragment):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=fragment):
+            parse_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_config(tmp_path / "nope.json")
@@ -156,6 +173,97 @@ class TestParseConfig:
     def test_echo_round_trips(self, fixtures_dir, name):
         cfg = parse_config(fixtures_dir / name)
         assert parse_config_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda d: d.update(angle_step_deg=1e-4), "1.8e\\+06 angles"),
+            (lambda d: d["phantom"].update(slice_width_mm=1e-4), "slice_width_mm 0.0001"),
+            (lambda d: d["phantom"].update(subject_radius_mm=1e308), "inf slices"),
+            (lambda d: d["recon"][0].update(grid_size=100000), "grid_size 100000"),
+        ],
+        ids=["angle_step", "slice_width", "subject_radius", "grid_size"],
+    )
+    def test_work_over_cap_rejected(self, mutate, fragment):
+        doc = base_config()
+        mutate(doc)
+        with pytest.raises(ValidationError, match=fragment):
+            parse_config_dict(doc)
+
+    def test_work_caps_leave_room_above_the_benchmark(self):
+        doc = base_config(
+            angle_step_deg=1,
+            recon=[{"filters": ["hann"], "interps": ["spline"], "grid_size": 640}],
+        )
+        doc["phantom"]["slice_width_mm"] = 0.125
+        cfg = parse_config_dict(doc)
+        assert cfg.recon[0].grid_size == 640
+        # a grid override is checked against the same cap
+        with pytest.raises(ValidationError, match="grid_size 100000"):
+            replace(cfg, recon=(replace(cfg.recon[0], grid_size=100000),))
+
+
+# Config documents for the property below: mostly well-formed, each number
+# either ordinary or absurd (json's NaN and Infinity, integers beyond the float
+# range, sizes whose products overflow, steps and widths that ask for
+# astronomically many values), and now and then a value of the wrong type or
+# an unknown name.
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2))
+EXTREMES = st.sampled_from(
+    [0, -1.0, 5e-324, 1e-300, 1e-9, 1e-4, 1e308, 10**400, float("nan"), float("inf")]
+)
+
+
+def _mostly(strategy):
+    """``strategy``, or a value of the wrong type once in 64 draws."""
+    return st.integers(0, 63).flatmap(lambda i: JUNK if i == 63 else strategy)
+
+
+def _number(lo, hi):
+    return _mostly(st.one_of(st.floats(lo, hi), st.floats(lo, hi), EXTREMES))
+
+
+def _names(values):
+    return _mostly(st.lists(st.sampled_from([*values] * 10 + ["bogus"]), min_size=1, max_size=3))
+
+
+_BOUNDS = {"subject_radius_mm": (10, 100), "depth_mm": (0.1, 10), "slice_width_mm": (0.1, 5)}
+_CIRCLES = st.fixed_dictionaries(
+    {key: _number(*((-5, 5) if "center" in key else (1e-4, 5))) for key in CIRCLE_KEYS}
+)
+_PHANTOMS = st.fixed_dictionaries(
+    {key: _number(*_BOUNDS.get(key, (1e-4, 1))) for key in PHANTOM_KEYS},
+    optional={"perturbations": _mostly(st.lists(_CIRCLES, max_size=1))},
+)
+_RECON = st.fixed_dictionaries(
+    {"filters": _names([k.value for k in FilterKind]), "interps": _names([k.value for k in InterpKind])},
+    optional={
+        "grid_size": _mostly(st.one_of(st.integers(-2, 400), st.sampled_from([10**5, 10**400]))),
+        "normalize": _mostly(st.booleans()),
+    },
+)
+CONFIG_DICTS = _mostly(
+    st.fixed_dictionaries(
+        {
+            "phantom": _mostly(_PHANTOMS),
+            "angle_step_deg": _mostly(st.one_of(st.sampled_from([0.5, 1, 10, 90, 180]), EXTREMES)),
+            "quantities": _names([q.value for q in Quantity]),
+            "recon": _mostly(st.lists(_mostly(_RECON), min_size=1, max_size=2)),
+        },
+        optional={"output_dir": _mostly(st.text(max_size=4)), "emit": _names(EMIT_KINDS)},
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=CONFIG_DICTS)
+def test_every_config_dict_is_parsed_or_rejected(doc):
+    # parsing only: a config that passes is never run here
+    try:
+        cfg = parse_config_dict(doc)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 class TestRunPipeline:
@@ -264,6 +372,10 @@ class TestRunPipeline:
             assert left == {"sinogram_avgcond.csv.tmp"}
         for name in left & finished:
             assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+        # a rerun that writes no sinogram still clears the killed run's temporary
+        run_pipeline(replace(cfg, output_dir=str(out), emit=("metrics_json",)))
+        assert not list(out.glob("*.tmp"))
+        assert not (out / "INCOMPLETE").exists()
 
     def test_multiple_grid_sizes_write_one_target_each(self, tmp_path):
         doc = base_config(
@@ -333,6 +445,19 @@ class TestCli:
         assert main([command, str(path)]) == 2
         assert f"{key} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, fragment",
+        [("angle_step_deg", 1e-4, "sinogram values"), ("grid_size", 100000, "samples")],
+    )
+    def test_validate_rejects_work_over_cap(self, tmp_path, capsys, key, value, fragment):
+        doc = base_config()
+        (doc["recon"][0] if key == "grid_size" else doc)[key] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and fragment in err
 
     def test_grid_override_that_collides_rejected(self, tmp_path, capsys):
         doc = base_config(
