@@ -24,7 +24,6 @@ from .phantom import (
     PhantomError,
     Point,
     chord_length,
-    circle_chord_at,
     rotate_center,
     strip_area,
     validate,

@@ -22,9 +22,13 @@ EMIT_KINDS = ("sinogram_csv", "target_image", "recon_images", "metrics_json")
 # Caps on the work one config may ask for, far above every config in
 # fixtures/ and the benchmark (at most 320 slices x 180 angles = 57,600
 # sinogram values, and 320^2 pixels x 180 angles = 1.8e7 samples per back
-# projection).  A sinogram at the cap takes 80 MB per quantity.
+# projection).  A sinogram at the cap takes 80 MB per quantity.  One back
+# projection holds about 49 bytes per pixel at its peak (tracemalloc, grids
+# 400 and 800), so an image at the pixel cap takes about 2 GB; the pixel cap
+# is what bounds a config with few angles.
 MAX_SINOGRAM_VALUES = 10**7  # n_slices x n_angles
 MAX_BACKPROJECTION_SAMPLES = 10**9  # grid_size^2 x n_angles, per recon entry
+MAX_RECON_PIXELS = 4 * 10**7  # grid_size^2, per recon entry
 
 
 # JSON key -> field of the object it sets, in the order the keys are checked
@@ -53,7 +57,8 @@ class ValidationError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """A validated run; no two recon configs may write the same artifacts, and
-    none may back-project more than MAX_BACKPROJECTION_SAMPLES samples."""
+    none may back-project more than MAX_BACKPROJECTION_SAMPLES samples or
+    MAX_RECON_PIXELS pixels."""
 
     phantom: Phantom
     angle_step: float
@@ -71,6 +76,11 @@ class RunConfig:
                     f"recon grid_size {rc.grid_size} and angle_step_deg {self.angle_step:g} ask "
                     f"for {rc.grid_size}^2 pixels x {n_angles} angles, more than "
                     f"{MAX_BACKPROJECTION_SAMPLES:.0e} back-projection samples"
+                )
+            if rc.grid_size**2 > MAX_RECON_PIXELS:
+                raise ValidationError(
+                    f"recon grid_size {rc.grid_size} asks for {rc.grid_size}^2 pixels, more than "
+                    f"{MAX_RECON_PIXELS:.0e} pixels in one image"
                 )
             stem = recon_stem(rc, self.recon)
             if stem in seen:
@@ -95,11 +105,13 @@ def recon_stem(rc: ReconConfig, recon: tuple[ReconConfig, ...]) -> str:
 
 
 def parse_config(path: str | Path) -> RunConfig:
-    """Read and fully validate a JSON config file."""
+    """Read and fully validate a JSON config file, which is UTF-8 whatever the locale."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read config file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not valid UTF-8: {e}") from e
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

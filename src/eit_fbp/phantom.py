@@ -1,13 +1,17 @@
-"""Circular subject geometry: perturbation disks, chords, axis rotation.
+"""Circular subject geometry: perturbation disks, chords, strip areas, axis rotation.
 
 All lengths are millimetres, resistivities ohm-metres, angles degrees at the
 API boundary.  Everything here is a pure function on immutable values.
+:func:`_strip_areas` is the one circular-strip integral: the projector calls
+it for every sinogram and :func:`strip_area` is its scalar view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class PhantomError(ValueError):
@@ -153,30 +157,22 @@ def chord_length(radius: float, offset: float) -> float:
     return 2.0 * math.sqrt(radius * radius - offset * offset)
 
 
-def circle_chord_at(circle: Circle, lateral_offset: float) -> float:
-    """Chord of ``circle`` cut by the slicing line at signed lateral position."""
-    return chord_length(circle.radius, lateral_offset - circle.center_x)
-
-
 def strip_area(radius: float, lo: float, hi: float) -> float:
     """Area of a radius-``radius`` disk centered at 0 between the lines x=lo and x=hi.
 
-    Closed form via the antiderivative of the chord function; the strip is
-    clamped to the disk, so strips that miss it give 0.
+    A range-checked scalar view of :func:`_strip_areas`; strips that miss
+    the disk give 0.
     """
     if radius <= 0:
         raise NonPositiveRadius(f"radius must be > 0, got {radius}")
     if hi <= lo:
         return 0.0
-    a = min(max(lo, -radius), radius)
-    b = min(max(hi, -radius), radius)
-    if b <= a:
-        return 0.0
-    return _chord_antiderivative(radius, b) - _chord_antiderivative(radius, a)
+    return float(_strip_areas(radius, np.array([lo, hi]))[0])
 
 
-def _chord_antiderivative(radius: float, s: float) -> float:
+def _strip_areas(radius: float, edges: np.ndarray) -> np.ndarray:
+    """Areas of a radius-``radius`` disk centered at 0 between consecutive rows of edges."""
+    s = np.clip(edges, -radius, radius)
     # d/ds [s*sqrt(r^2-s^2) + r^2*asin(s/r)] = 2*sqrt(r^2-s^2)
-    return s * math.sqrt(max(radius * radius - s * s, 0.0)) + radius * radius * math.asin(
-        min(max(s / radius, -1.0), 1.0)
-    )
+    f = s * np.sqrt(radius * radius - s * s) + radius * radius * np.arcsin(s / radius)
+    return np.diff(f, axis=0)

@@ -6,8 +6,8 @@ segments: every material contributes (strip area of that material) * sigma / d.
 Material areas are exact circular-strip integrals, so the total conductance
 summed over a projection is the same at every angle.  The whole sinogram is
 one array expression: each disk's strip edges, shifted by its rotated center at
-every angle and clamped to the disk, go through the chord antiderivative and
-are differenced along the slices.
+every angle, go through ``phantom._strip_areas``, the one strip integral.
+:func:`_edges` owns the strip edges; :func:`slice_bounds` is its view.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phantom import Phantom
+from .phantom import Phantom, _strip_areas
 
 
 class Quantity(enum.Enum):
@@ -82,31 +82,25 @@ def slice_count(subject_radius: float, slice_width: float) -> int:
 def slice_bounds(
     subject_radius: float, slice_width: float, slice_index: int
 ) -> tuple[float, float]:
-    """Lateral interval [lower, upper) of one strip; the last strip absorbs any remainder."""
+    """Lateral interval [lower, upper) of one strip: a range-checked view of :func:`_edges`."""
     n = slice_count(subject_radius, slice_width)
     if not 0 <= slice_index < n:
         raise IndexOutOfRange(f"slice index {slice_index} outside [0, {n})")
-    lower = -subject_radius + slice_index * slice_width
-    if slice_index == n - 1:
-        return lower, subject_radius
-    return lower, lower + slice_width
+    lower, upper = _edges(subject_radius, slice_width)[slice_index : slice_index + 2]
+    return float(lower), float(upper)
 
 
-def _strip_areas(radius: float, edges: np.ndarray) -> np.ndarray:
-    """Areas of a radius-``radius`` disk centered at 0 between consecutive rows of edges."""
-    s = np.clip(edges, -radius, radius)
-    # d/ds [s*sqrt(r^2-s^2) + r^2*asin(s/r)] = 2*sqrt(r^2-s^2)
-    f = s * np.sqrt(radius * radius - s * s) + radius * radius * np.arcsin(s / radius)
-    return np.diff(f, axis=0)
+def _edges(subject_radius: float, slice_width: float) -> np.ndarray:
+    """The n + 1 strip edges from -R; the last strip absorbs any remainder, so its edge is R."""
+    n = slice_count(subject_radius, slice_width)
+    return np.append(-subject_radius + np.arange(n) * slice_width, subject_radius)
 
 
 def _sinogram(phantom: Phantom, angles_deg: tuple[float, ...], quantity: Quantity) -> np.ndarray:
     """Slice-major (n_slices x len(angles_deg)) values; a strip's background
     area is the subject strip minus the perturbation strips, floored at 0."""
     r = phantom.subject_radius
-    n = slice_count(r, phantom.slice_width)
-    # one column of strip edges; the last strip takes the rest
-    edges = np.append(-r + np.arange(n) * phantom.slice_width, r)[:, None]
+    edges = _edges(r, phantom.slice_width)[:, None]
     subject = _strip_areas(r, edges)  # the same at every angle
     background = np.repeat(subject, len(angles_deg), axis=1)
     total = np.zeros_like(background)

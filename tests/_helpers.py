@@ -1,12 +1,24 @@
-"""Shared test utilities: correlation, blob extraction, random phantoms."""
+"""Shared test utilities: correlation, blob extraction, random phantoms, and
+the scalar strip geometry kept as an independent reference for the projector."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
-from eit_fbp import Circle, Phantom, RasterImage, inscribed_mask, pixel_centers, validate
+from eit_fbp import (
+    Circle,
+    IndexOutOfRange,
+    NonPositiveRadius,
+    Phantom,
+    RasterImage,
+    inscribed_mask,
+    pixel_centers,
+    slice_count,
+    validate,
+)
 
 
 def pearson(a, b) -> float:
@@ -108,4 +120,46 @@ def random_phantom(rng: np.random.Generator, max_perturbations: int = 3) -> Phan
             slice_width=width,
             perturbations=tuple(circles),
         )
+    )
+
+
+# The scalar strip geometry as it stood before the package gave it one owner
+# (``phantom._strip_areas`` and ``projector._edges``).  It shares no code with
+# them, so tests that compare against it are not circular.
+
+
+def reference_slice_bounds(
+    subject_radius: float, slice_width: float, slice_index: int
+) -> tuple[float, float]:
+    """Lateral interval [lower, upper) of one strip; the last strip absorbs any remainder."""
+    n = slice_count(subject_radius, slice_width)
+    if not 0 <= slice_index < n:
+        raise IndexOutOfRange(f"slice index {slice_index} outside [0, {n})")
+    lower = -subject_radius + slice_index * slice_width
+    if slice_index == n - 1:
+        return lower, subject_radius
+    return lower, lower + slice_width
+
+
+def reference_strip_area(radius: float, lo: float, hi: float) -> float:
+    """Area of a radius-``radius`` disk centered at 0 between the lines x=lo and x=hi.
+
+    Closed form via the antiderivative of the chord function; the strip is
+    clamped to the disk, so strips that miss it give 0.
+    """
+    if radius <= 0:
+        raise NonPositiveRadius(f"radius must be > 0, got {radius}")
+    if hi <= lo:
+        return 0.0
+    a = min(max(lo, -radius), radius)
+    b = min(max(hi, -radius), radius)
+    if b <= a:
+        return 0.0
+    return _chord_antiderivative(radius, b) - _chord_antiderivative(radius, a)
+
+
+def _chord_antiderivative(radius: float, s: float) -> float:
+    # d/ds [s*sqrt(r^2-s^2) + r^2*asin(s/r)] = 2*sqrt(r^2-s^2)
+    return s * math.sqrt(max(radius * radius - s * s, 0.0)) + radius * radius * math.asin(
+        min(max(s / radius, -1.0), 1.0)
     )

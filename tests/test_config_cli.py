@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eit_fbp.cli
 import eit_fbp.pipeline
 from eit_fbp import (
     FilterKind,
@@ -26,7 +27,13 @@ from eit_fbp import (
     slice_count,
 )
 from eit_fbp.cli import main
-from eit_fbp.config import CIRCLE_KEYS, EMIT_KINDS, PHANTOM_KEYS, parse_config_dict
+from eit_fbp.config import (
+    CIRCLE_KEYS,
+    EMIT_KINDS,
+    MAX_RECON_PIXELS,
+    PHANTOM_KEYS,
+    parse_config_dict,
+)
 
 ALL_FIXTURES = sorted(
     p.name for p in (Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")
@@ -181,8 +188,16 @@ class TestParseConfig:
             (lambda d: d["phantom"].update(slice_width_mm=1e-4), "slice_width_mm 0.0001"),
             (lambda d: d["phantom"].update(subject_radius_mm=1e308), "inf slices"),
             (lambda d: d["recon"][0].update(grid_size=100000), "grid_size 100000"),
+            # one angle keeps grid^2 x angles under the sample cap; the pixel cap stops it
+            (
+                lambda d: d.update(
+                    angle_step_deg=180,
+                    recon=[{"filters": ["none"], "interps": ["linear"], "grid_size": 31622}],
+                ),
+                "recon grid_size 31622 asks for 31622\\^2 pixels",
+            ),
         ],
-        ids=["angle_step", "slice_width", "subject_radius", "grid_size"],
+        ids=["angle_step", "slice_width", "subject_radius", "grid_size", "one_angle_grid_size"],
     )
     def test_work_over_cap_rejected(self, mutate, fragment):
         doc = base_config()
@@ -257,6 +272,13 @@ CONFIG_DICTS = _mostly(
 
 @settings(max_examples=200, deadline=None)
 @given(doc=CONFIG_DICTS)
+# the generator almost never pairs one angle with a grid under the sample cap but
+# over the pixel cap, so that shape is given
+@example(
+    doc=base_config(
+        angle_step_deg=180, recon=[{"filters": ["none"], "interps": ["linear"], "grid_size": 31622}]
+    )
+)
 def test_every_config_dict_is_parsed_or_rejected(doc):
     # parsing only: a config that passes is never run here
     try:
@@ -264,6 +286,8 @@ def test_every_config_dict_is_parsed_or_rejected(doc):
     except (ParseError, ValidationError):
         return
     assert isinstance(cfg, RunConfig)
+    # a one-angle sweep passes the sample cap at any grid; the pixel cap still holds
+    assert all(rc.grid_size**2 <= MAX_RECON_PIXELS for rc in cfg.recon)
 
 
 class TestRunPipeline:
@@ -458,6 +482,31 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         err = capsys.readouterr().err
         assert key in err and fragment in err
+
+    def test_one_angle_huge_grid_rejected(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        doc = json.loads((fixtures_dir / "one_perturbation_q10.json").read_text())
+        doc["angle_step_deg"] = 180
+        doc["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "one_angle.json"
+        path.write_text(json.dumps(doc))
+        # an over-cap config must never run, even if the check were missing
+        monkeypatch.setattr(eit_fbp.cli, "run_pipeline", lambda cfg: pytest.fail("ran"))
+        doc["recon"][0]["grid_size"] = 31622
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        assert main(["validate", str(huge)]) == 2
+        assert "recon grid_size 31622" in capsys.readouterr().err
+        assert main(["run", str(path), "--grid", "10000", "--quiet"]) == 2
+        assert "recon grid_size 10000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8_rejected(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(base_config()).encode().replace(b"avg_conductivity", b"\xff"))
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err and "not valid UTF-8" in err
 
     def test_grid_override_that_collides_rejected(self, tmp_path, capsys):
         doc = base_config(

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _helpers import reference_strip_area
 from eit_fbp import (
     Circle,
     NonPositiveDimension,
@@ -14,7 +15,6 @@ from eit_fbp import (
     Phantom,
     Point,
     chord_length,
-    circle_chord_at,
     rotate_center,
     strip_area,
     validate,
@@ -155,26 +155,35 @@ class TestChordLength:
             assert all(b <= a for a, b in zip(chords, chords[1:]))
 
 
-class TestCircleChordAt:
-    circle = Circle(10.0, -3.0, 10.0, 0.0002)
-
-    def test_through_center(self):
-        assert circle_chord_at(self.circle, 10.0) == 20.0
-
-    def test_missing_line(self):
-        assert circle_chord_at(self.circle, 25.0) == 0.0
-
-    def test_interior_line(self):
-        assert circle_chord_at(self.circle, 16.0) == pytest.approx(16.0, rel=1e-14)
-
-    def test_zero_outside_support(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            s = rng.uniform(10.0 + 10.0, 1e4) * rng.choice([-1.0, 1.0])
-            assert circle_chord_at(self.circle, 10.0 + s) == 0.0
+# strip edges as multiples of the radius: anywhere from well outside the disk on
+# one side to well outside on the other, or exactly on a tangent or the center
+edge_fraction = st.one_of(
+    st.floats(min_value=-2.5, max_value=2.5), st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+)
 
 
 class TestStripArea:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        radius=st.floats(min_value=0.01, max_value=200.0),
+        lo=edge_fraction,
+        hi=edge_fraction,
+    )
+    @example(radius=7.0, lo=0.5, hi=-0.5)  # hi < lo
+    @example(radius=7.0, lo=0.3, hi=0.3)  # hi == lo
+    @example(radius=7.0, lo=1.2, hi=2.0)  # misses the disk on the right
+    @example(radius=7.0, lo=-2.0, hi=-1.0)  # misses it on the left, up to the tangent
+    @example(radius=7.0, lo=0.6, hi=1.4)  # straddles +r
+    @example(radius=7.0, lo=-1.5, hi=-0.2)  # straddles -r
+    @example(radius=7.0, lo=-1.0, hi=1.0)  # tangent to tangent
+    def test_matches_scalar_reference(self, radius, lo, hi):
+        lo, hi = lo * radius, hi * radius
+        # np.arcsin and math.asin may round differently by an ulp of r^2 * pi / 2,
+        # which a thin strip near the rim does not cancel; the floor is a few such ulps
+        assert strip_area(radius, lo, hi) == pytest.approx(
+            reference_strip_area(radius, lo, hi), rel=1e-12, abs=1e-14 * radius * radius
+        )
+
     def test_full_disk(self):
         assert strip_area(7.0, -7.0, 7.0) == pytest.approx(math.pi * 49.0, rel=1e-14)
 
@@ -197,6 +206,12 @@ class TestStripArea:
             )
             # the midpoint oracle itself is O(h^1.5)-accurate at the disk edge
             assert strip_area(r, lo, hi) == pytest.approx(quad, rel=1e-4, abs=1e-6)
+
+    def test_non_positive_radius(self):
+        with pytest.raises(NonPositiveRadius):
+            strip_area(0.0, -1.0, 1.0)
+        with pytest.raises(NonPositiveRadius):
+            strip_area(-3.0, 1.0, 1.0)
 
     def test_mirror_symmetry(self):
         assert strip_area(10.0, 2.0, 5.0) == pytest.approx(strip_area(10.0, -5.0, -2.0), rel=1e-14)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_phantom
+from _helpers import random_phantom, reference_slice_bounds, reference_strip_area
 from eit_fbp import (
     Circle,
     IndexOutOfRange,
@@ -18,7 +18,6 @@ from eit_fbp import (
     slice_bounds,
     slice_conductance,
     slice_count,
-    strip_area,
     sweep_angles,
     validate,
 )
@@ -30,8 +29,9 @@ ANGLE_STEPS = [1, 1.5, 2, 2.5, 3, 4, 5, 6, 7.5, 9, 10, 12, 15, 18, 20, 22.5, 30]
 def scalar_reference(phantom: Phantom, angle_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Conductance and average-conductivity sinograms, one strip at a time.
 
-    Each strip's material areas come from the scalar ``strip_area``; the
-    background is the subject strip minus the perturbation strips, floored at 0.
+    Each strip's material areas come from the scalar reference copy of
+    ``strip_area``; the background is the subject strip minus the perturbation
+    strips, floored at 0.
     """
     angles = sweep_angles(angle_step)
     n = slice_count(phantom.subject_radius, phantom.slice_width)
@@ -40,13 +40,13 @@ def scalar_reference(phantom: Phantom, angle_step: float) -> tuple[np.ndarray, n
     for a, theta in enumerate(angles):
         th = math.radians(theta)
         for j in range(n):
-            lo, hi = slice_bounds(phantom.subject_radius, phantom.slice_width, j)
-            subject = strip_area(phantom.subject_radius, lo, hi)
+            lo, hi = reference_slice_bounds(phantom.subject_radius, phantom.slice_width, j)
+            subject = reference_strip_area(phantom.subject_radius, lo, hi)
             background = subject
             total = 0.0
             for c in phantom.perturbations:
                 x_rot = c.center_x * math.cos(th) + c.center_y * math.sin(th)
-                area = strip_area(c.radius, lo - x_rot, hi - x_rot)
+                area = reference_strip_area(c.radius, lo - x_rot, hi - x_rot)
                 background -= area
                 total += area / c.resistivity
             total += max(background, 0.0) / phantom.subject_resistivity
