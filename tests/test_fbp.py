@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +29,10 @@ from eit_fbp import (
     sample_projection,
     validate,
 )
+import eit_fbp.fbp as fbp
+from eit_fbp.config import parse_config
 from eit_fbp.fbp import _filter
+from eit_fbp.pipeline import run_pipeline
 from eit_fbp.raster import inscribed_mask, pixel_centers
 
 WINDOWED = (
@@ -401,3 +408,111 @@ class TestReconstruct:
         img = reconstruct(sino, ReconConfig(FilterKind.NONE, InterpKind.LINEAR, 80))
         cx, cy = top_decile_centroid(img)
         assert math.hypot(cx - 10.0, cy - 10.0) <= 5.0
+
+
+class TestRowBlocks:
+    """Grids of at least 2 * _MIN_BLOCK_PIXELS pixels are back-projected in row blocks, one
+    thread each; the CPU count is patched so every case splits on any machine."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def set_cpus(n):
+            monkeypatch.setattr(fbp, "_usable_cpus", lambda: n)
+
+        return set_cpus
+
+    @pytest.fixture
+    def fast_switching(self):
+        """Threads switch every microsecond, so blocks interleave as finely as they can."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_bit_equal_across_cpu_counts(self, kind, cpus, monkeypatch, fast_switching):
+        monkeypatch.setattr(fbp, "_MIN_BLOCK_PIXELS", 16)
+        heights = []
+        interpolate = fbp._interpolate
+
+        def spy(table, interp, work, index):
+            heights.append(index.shape[0])
+            return interpolate(table, interp, work, index)
+
+        monkeypatch.setattr(fbp, "_interpolate", spy)
+        data = np.random.default_rng(7).standard_normal((45, 3))
+        sino = make_sinogram(data, (0.0, 61.0, 122.5), radius=37.0, width=74.0 / 45.3)
+        for size in (7, 64, 257):  # 257 rows divide among none of 2, 3 or 7 blocks
+            cfg = ReconConfig(FilterKind.NONE, kind, size)
+            cpus(1)
+            single = back_project(sino, cfg).pixels
+            for n in (2, 3, 7):
+                cpus(n)
+                heights.clear()
+                np.testing.assert_array_equal(back_project(sino, cfg).pixels, single)
+                n_blocks = min(n, size * size // 16)
+                assert len(heights) == 3 * n_blocks and sum(heights) == 3 * size
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_split_matches_reference(self, kind, cpus):
+        cpus(3)
+        size = 200  # two blocks at the real _MIN_BLOCK_PIXELS
+        assert size * size // fbp._MIN_BLOCK_PIXELS == 2
+        data = np.random.default_rng(11).standard_normal((60, 3))
+        sino = make_sinogram(data, (0.0, 33.0, 101.0), radius=40.0, width=80.0 / 60.4)
+        cfg = ReconConfig(FilterKind.NONE, kind, size)
+        expected = reference_back_project(sino, cfg)
+        got = back_project(sino, cfg).pixels
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+    def test_worker_failure_reaches_caller(self, cpus, monkeypatch, fixtures_dir, tmp_path):
+        # grid 81 in two blocks: rows 0-39 in the caller, rows 40-80 in a worker thread
+        cpus(2)
+        monkeypatch.setattr(fbp, "_MIN_BLOCK_PIXELS", 16)
+        interpolate = fbp._interpolate
+
+        def fail_in_worker_block(table, interp, work, index):
+            if index.shape[0] == 41:
+                raise RuntimeError("injected block failure")
+            return interpolate(table, interp, work, index)
+
+        monkeypatch.setattr(fbp, "_interpolate", fail_in_worker_block)
+        sino = make_sinogram(np.ones((20, 2)), (0.0, 90.0))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected block failure"):
+            back_project(sino, ReconConfig(FilterKind.NONE, InterpKind.LINEAR, 81))
+        assert threading.active_count() == before
+
+        cfg = parse_config(fixtures_dir / "one_perturbation_q10.json")
+        cfg = replace(
+            cfg,
+            recon=tuple(replace(rc, grid_size=81) for rc in cfg.recon),
+            output_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(RuntimeError, match="injected block failure"):
+            run_pipeline(cfg)
+        assert "injected block failure" in (tmp_path / "out" / "INCOMPLETE").read_text()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_memory_does_not_grow_with_blocks(self, kind, cpus):
+        # config.MAX_RECON_PIXELS is sized from 49 bytes a pixel; the rest, a few
+        # per-thread KiB and O(grid) vectors, does not grow with grid^2
+        size = 400
+        data = np.random.default_rng(3).standard_normal((40, 4))
+        sino = make_sinogram(data, (0.0, 45.0, 90.0, 135.0), width=2.0)
+        cfg = ReconConfig(FilterKind.RAM_LAK, kind, size)
+        reconstruct(sino, cfg)  # first-call allocations are not the recon's
+
+        def peak(n):
+            cpus(n)
+            tracemalloc.start()
+            try:
+                reconstruct(sino, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single, split = peak(1), peak(4)
+        assert split <= single + 3 * 4096  # 4 KiB per extra thread
+        assert split <= 49 * size * size + 48 * 1024
