@@ -5,7 +5,11 @@ the slice axis, zero-padded to a power of two, times the ramp-times-window
 gains.  Each filtered column is then smeared back across the pixel grid along
 its projection lines and accumulated over angles with weight pi / n_angles.
 One basis matrix per interpolation kind turns every column into a table of
-polynomial pieces, which is evaluated at the pixels by Horner's rule.
+polynomial pieces, which is evaluated at the pixels by Horner's rule.  An angle
+and its mirror 180 - theta share one lateral grid, since t at 180 - theta is t
+at theta mirrored in x: it is located once and both tables are evaluated on it.
+That changes the order of the sums, so images match earlier releases to
+rounding level rather than bit for bit.
 
 Large grids are back-projected in contiguous row blocks, one thread per usable
 CPU, in buffers the caller allocates once: memory does not grow with the CPU
@@ -151,13 +155,20 @@ def _interpolate(
 ) -> np.ndarray:
     """One row's piece table at the bin coordinates in ``work[0]`` by Horner's rule, clipping
     onto the zero end pieces; ``work`` (three float arrays) and ``index`` are overwritten."""
-    t, value, scratch = work
+    t, _, scratch = work
     if kind is InterpKind.NEAREST:  # round half away from zero
         np.trunc(np.add(t, np.copysign(0.5, t, out=scratch), out=scratch), out=scratch)
     else:
         np.floor(t, out=scratch)
         t -= scratch  # offset into the piece
     np.add(scratch, 3, out=index, casting="unsafe")  # the piece on [j, j + 1)
+    return _evaluate(table, work, index)
+
+
+def _evaluate(table: np.ndarray, work: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The pieces of ``table`` at ``index`` at the offsets in ``work[0]`` that
+    :func:`_interpolate` left; ``work[1]`` and ``work[2]`` are overwritten."""
+    t, value, scratch = work
     np.take(table[0], index, out=value, mode="clip")
     for coefficients in table[1:]:
         value *= t
@@ -176,21 +187,52 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _mirror_pairs(angles_deg: tuple[float, ...]) -> list[tuple[int, int | None]]:
+    """Every angle's index in sinogram order, each with the index of its mirror 180 - angle,
+    or alone: the lower angle of a pair stands for both, and the partner is left out.
+
+    A pair sums to 180 within one ulp of 180, as ``i * step`` sweeps do; found by two
+    pointers over the sorted angles, so each angle pairs at most once and never with an
+    equal angle.
+    """
+    order = sorted(range(len(angles_deg)), key=angles_deg.__getitem__)
+    partner: dict[int, int] = {}
+    lo, hi = 0, len(order) - 1
+    while lo < hi:
+        a, b = angles_deg[order[lo]], angles_deg[order[hi]]
+        excess = a + b - 180.0
+        if abs(excess) <= math.ulp(180.0) and a < b:
+            partner[order[lo]] = order[hi]
+            lo, hi = lo + 1, hi - 1
+        elif excess < 0:
+            lo += 1
+        else:
+            hi -= 1
+    partners = set(partner.values())
+    return [(k, partner.get(k)) for k in range(len(angles_deg)) if k not in partners]
+
+
 def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     """Accumulate the (already filtered) sinogram over the pixel grid.
 
     Pixel centers span [-R, R]^2; each angle contributes its sampled column
     times d_theta = pi / n_angles, and pixels outside the inscribed circle
-    are zeroed, which covers every pixel with |s| > R.  Grids of at least
-    2 * _MIN_BLOCK_PIXELS pixels are split into row blocks across the usable
-    CPUs; the image does not depend on how many there are.
+    are zeroed, which covers every pixel with |s| > R.  Each mirror pair of
+    angles (see :func:`_mirror_pairs`) shares one lateral grid, the partner
+    added reversed in x.  Grids of at least 2 * _MIN_BLOCK_PIXELS pixels are
+    split into row blocks across the usable CPUs; the image is bit-identical
+    for any number of them.
     """
     if sino.data.size == 0 or sino.n_angles == 0:
         raise EmptySinogram("sinogram has no data")
     size = config.grid_size
     r = sino.subject_radius
     xs, ys = pixel_centers(size, r)
-    angles = list(zip(_pieces(sino.data.T, config.interp), map(math.radians, sino.angles_deg)))
+    tables = _pieces(sino.data.T, config.interp)
+    pairs = [
+        (tables[k], math.radians(sino.angles_deg[k]), None if m is None else tables[m])
+        for k, m in _mirror_pairs(sino.angles_deg)
+    ]
 
     acc = np.zeros((size, size))
     # grid^2 buffers allocated once and shared out as row views: fresh ones per
@@ -200,12 +242,14 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
 
     def accumulate(rows: slice) -> None:
         block, block_work, block_index = acc[rows], work[:, rows], index[rows]
-        for table, th in angles:
+        for table, th, mirror in pairs:
             t = np.add(xs * math.cos(th), ys[rows, None] * math.sin(th), out=block_work[0])
             t += r
             t -= sino.slice_width / 2.0
             t /= sino.slice_width
             block += _interpolate(table, config.interp, block_work, block_index)
+            if mirror is not None:  # t at 180 - theta is t at theta mirrored in x
+                block[:, ::-1] += _evaluate(mirror, block_work, block_index)
 
     n = max(1, min(_usable_cpus(), size * size // _MIN_BLOCK_PIXELS))
     blocks = [slice(size * i // n, size * (i + 1) // n) for i in range(n)]

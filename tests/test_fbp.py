@@ -33,6 +33,7 @@ import eit_fbp.fbp as fbp
 from eit_fbp.config import parse_config
 from eit_fbp.fbp import _filter
 from eit_fbp.pipeline import run_pipeline
+from eit_fbp.projector import sweep_angles
 from eit_fbp.raster import inscribed_mask, pixel_centers
 
 WINDOWED = (
@@ -231,21 +232,39 @@ def reference_back_project(sino: Sinogram, config: ReconConfig) -> np.ndarray:
 
 
 @st.composite
-def sinograms(draw):
+def sinograms(
+    draw, angle_lists=st.lists(st.floats(0.0, 180.0, exclude_max=True), min_size=1, max_size=20)
+):
     """Random sinograms whose slice width does not divide the diameter."""
     n = draw(st.integers(1, 90))
     radius = draw(st.floats(1.0, 100.0))
     width = 2.0 * radius / (n + draw(st.floats(0.05, 0.95)))
-    angles = draw(st.lists(st.floats(0.0, 180.0, exclude_max=True), min_size=1, max_size=20))
+    angles = draw(angle_lists)
     seed = draw(st.integers(0, 2**32 - 1))
     data = np.random.default_rng(seed).standard_normal((n, len(angles)))
     return make_sinogram(data, angles, radius=radius, width=width)
+
+
+# Full sweeps, where every angle but 0 and 90 has its mirror 180 - angle
+SWEEP_STEPS = [180.0 / n for n in range(1, 61)] + [0.9, 1.8, 3.6, 7.2]
 
 
 class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(sino=sinograms(), size=st.integers(2, 70), kind=st.sampled_from(list(InterpKind)))
     def test_back_project_matches_reference(self, sino, size, kind):
+        cfg = ReconConfig(FilterKind.NONE, kind, size)
+        expected = reference_back_project(sino, cfg)
+        got = back_project(sino, cfg).pixels
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sino=sinograms(st.sampled_from(SWEEP_STEPS).map(sweep_angles)),
+        size=st.integers(2, 70),
+        kind=st.sampled_from(list(InterpKind)),
+    )
+    def test_mirror_paired_sweep_matches_reference(self, sino, size, kind):
         cfg = ReconConfig(FilterKind.NONE, kind, size)
         expected = reference_back_project(sino, cfg)
         got = back_project(sino, cfg).pixels
@@ -410,6 +429,48 @@ class TestReconstruct:
         assert math.hypot(cx - 10.0, cy - 10.0) <= 5.0
 
 
+class TestMirrorPairs:
+    """An angle and its mirror 180 - angle share one lateral grid: t is computed once for
+    both, in the one ``_interpolate`` call per pair that a spy counts."""
+
+    @pytest.fixture
+    def t_computations(self, monkeypatch):
+        calls = []
+        interpolate = fbp._interpolate
+
+        def spy(table, interp, work, index):
+            calls.append(index.shape[0])
+            return interpolate(table, interp, work, index)
+
+        monkeypatch.setattr(fbp, "_interpolate", spy)
+        return calls
+
+    @staticmethod
+    def check(angles, kind, expected_calls, calls):
+        data = np.random.default_rng(len(angles)).standard_normal((45, len(angles)))
+        sino = make_sinogram(data, angles, radius=37.0, width=74.0 / 45.3)
+        cfg = ReconConfig(FilterKind.NONE, kind, 33)  # one block
+        got = back_project(sino, cfg).pixels
+        assert calls == [33] * expected_calls
+        expected = reference_back_project(sino, cfg)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_sweep_computes_t_once_per_pair(self, kind, t_computations):
+        angles = sweep_angles(0.9)
+        assert len(angles) == 200
+        self.check(angles, kind, 101, t_computations)  # 0, 90 and 99 pairs
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_near_mirror_beyond_one_ulp_not_paired(self, kind, t_computations):
+        self.check((10.0, 170.000001), kind, 2, t_computations)
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_repeated_angle_not_paired(self, kind, t_computations):
+        # 30 pairs with one of the two 150s; neither 90 pairs with the other
+        self.check((30.0, 150.0, 90.0, 150.0, 90.0), kind, 4, t_computations)
+
+
 class TestRowBlocks:
     """Grids of at least 2 * _MIN_BLOCK_PIXELS pixels are back-projected in row blocks, one
     thread each; the CPU count is patched so every case splits on any machine."""
@@ -441,17 +502,21 @@ class TestRowBlocks:
 
         monkeypatch.setattr(fbp, "_interpolate", spy)
         data = np.random.default_rng(7).standard_normal((45, 3))
-        sino = make_sinogram(data, (0.0, 61.0, 122.5), radius=37.0, width=74.0 / 45.3)
-        for size in (7, 64, 257):  # 257 rows divide among none of 2, 3 or 7 blocks
-            cfg = ReconConfig(FilterKind.NONE, kind, size)
-            cpus(1)
-            single = back_project(sino, cfg).pixels
-            for n in (2, 3, 7):
-                cpus(n)
-                heights.clear()
-                np.testing.assert_array_equal(back_project(sino, cfg).pixels, single)
-                n_blocks = min(n, size * size // 16)
-                assert len(heights) == 3 * n_blocks and sum(heights) == 3 * size
+        three = make_sinogram(data, (0.0, 61.0, 122.5), radius=37.0, width=74.0 / 45.3)
+        # a 22.5 degree sweep: 0, 90 and three mirror pairs, each partner added reversed in x
+        data = np.random.default_rng(8).standard_normal((45, 8))
+        sweep = make_sinogram(data, sweep_angles(22.5), radius=37.0, width=74.0 / 45.3)
+        for sino, calls in ((three, 3), (sweep, 5)):
+            for size in (7, 64, 257):  # 257 rows divide among none of 2, 3 or 7 blocks
+                cfg = ReconConfig(FilterKind.NONE, kind, size)
+                cpus(1)
+                single = back_project(sino, cfg).pixels
+                for n in (2, 3, 7):
+                    cpus(n)
+                    heights.clear()
+                    np.testing.assert_array_equal(back_project(sino, cfg).pixels, single)
+                    n_blocks = min(n, size * size // 16)
+                    assert len(heights) == calls * n_blocks and sum(heights) == calls * size
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_split_matches_reference(self, kind, cpus):
