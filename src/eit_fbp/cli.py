@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 
 from .config import ParseError, RunConfig, ValidationError, parse_config
@@ -99,17 +100,13 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     if not args.quiet:
-        i = 0
-        for quantity in cfg.quantities:
-            for rc in cfg.recon:
-                m = reports[i]
-                i += 1
-                raw = "" if rc.normalize else " raw"
-                print(
-                    f"{QUANTITY_SHORT[quantity]} {rc.filter.value} {rc.interp.value}{raw} "
-                    f"grid {rc.grid_size}: "
-                    f"rmse={m.rmse:.6g} pearson={m.pearson:.6g} psnr={m.psnr:.6g}"
-                )
+        for (quantity, rc), m in zip(itertools.product(cfg.quantities, cfg.recon), reports):
+            raw = "" if rc.normalize else " raw"
+            print(
+                f"{QUANTITY_SHORT[quantity]} {rc.filter.value} {rc.interp.value}{raw} "
+                f"grid {rc.grid_size}: "
+                f"rmse={m.rmse:.6g} pearson={m.pearson:.6g} psnr={m.psnr:.6g}"
+            )
         print(f"wrote artifacts to {cfg.output_dir}")
     return 0
 

@@ -1,9 +1,10 @@
-"""Run configuration: strict JSON schema with units in the key names.
+"""Run configuration: parse and validate strict JSON with units in the key names.
 
-Unknown keys are rejected everywhere so a typo cannot silently fall back to
-a default.  Quantities, filters and interpolations are given by their
-lowercase names; the recon section is a list of filter x interpolation
-matrices that expand to individual reconstruction configs.
+Unknown and repeated keys are rejected everywhere so a typo cannot silently
+fall back to a default.  Quantities, filters and interpolations are given by
+their lowercase names; the recon section is a list of filter x interpolation
+matrices that expand to individual reconstruction configs, and one equal to
+an earlier one is rejected: the two would write the same artifacts.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run; no two recon configs may write the same artifacts, and
-    none may back-project more than MAX_BACKPROJECTION_SAMPLES samples or
-    MAX_RECON_PIXELS pixels."""
+    """A validated run; no recon config may appear twice, since two equal ones
+    would write the same artifacts, and none may back-project more than
+    MAX_BACKPROJECTION_SAMPLES samples or MAX_RECON_PIXELS pixels."""
 
     phantom: Phantom
     angle_step: float
@@ -82,26 +83,13 @@ class RunConfig:
                     f"recon grid_size {rc.grid_size} asks for {rc.grid_size}^2 pixels, more than "
                     f"{MAX_RECON_PIXELS:.0e} pixels in one image"
                 )
-            stem = recon_stem(rc, self.recon)
-            if stem in seen:
+            if rc in seen:
                 raise ValidationError(
                     f"recon repeats filter '{rc.filter.value}' x interp '{rc.interp.value}' "
                     f"at grid_size {rc.grid_size} (normalize {str(rc.normalize).lower()}); "
-                    f"both would write the '<quantity>_{stem}' artifacts"
+                    "both would write the same artifacts"
                 )
-            seen.add(stem)
-
-
-def grid_suffix(grid_size: int, recon: tuple[ReconConfig, ...]) -> str:
-    """Artifact-name suffix for one grid size: empty when every recon config
-    uses that size, else ``_g<N>``."""
-    return "" if all(rc.grid_size == grid_size for rc in recon) else f"_g{grid_size}"
-
-
-def recon_stem(rc: ReconConfig, recon: tuple[ReconConfig, ...]) -> str:
-    """Artifact-name stem of one of the ``recon`` configs, after its quantity prefix."""
-    raw = "" if rc.normalize else "_raw"
-    return f"{rc.filter.value}_{rc.interp.value}{raw}{grid_suffix(rc.grid_size, recon)}"
+            seen.add(rc)
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -113,10 +101,10 @@ def parse_config(path: str | Path) -> RunConfig:
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not valid UTF-8: {e}") from e
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    # an integer literal longer than int() accepts, or nesting deeper than the stack
+    # a repeated key, an integer literal longer than int() accepts, or too deep nesting
     except (ValueError, RecursionError) as e:
         raise ParseError(f"{path}: {e}") from e
     return parse_config_dict(data)
@@ -190,6 +178,16 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 _MISSING = object()
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object hook: a repeated key is an error, not a silent last-wins."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"repeated key '{key}'")
+        out[key] = value
+    return out
 
 
 def _take(mapping: dict, key: str, required: bool = False, default: object = None):

@@ -1,9 +1,9 @@
 """Batch pipeline: forward project, reconstruct, compare, write artifacts.
 
-Artifact layout inside the output directory:
+This module owns every artifact name.  Layout inside the output directory:
 
 * ``sinogram_<quantity>.csv``  -- header row of angles, one row per slice
-* ``target.pgm`` / ``target.png`` -- normalized ground-truth image
+* ``target.pgm`` / ``target.png`` -- normalized ground-truth conductivity image
 * ``<quantity>_<filter>_<interp>[_raw].pgm/.png`` -- reconstructions
 * ``metrics.json`` -- config echo, metrics, timings and display mappings
 * ``INCOMPLETE`` -- present while a run is going and after one that failed
@@ -22,15 +22,26 @@ import math
 import time
 from pathlib import Path
 
-from .config import RunConfig, config_to_dict, grid_suffix, recon_stem
-from .fbp import reconstruct
+from .config import RunConfig, config_to_dict
+from .fbp import ReconConfig, reconstruct
 from .imageio import write_atomic, write_pgm, write_png
 from .projector import Quantity, Sinogram, compute_sinogram
-from .raster import MetricsReport, TargetQuantity, compare, normalize_image, rasterize_target
+from .raster import MetricsReport, RasterImage, compare, normalize_image, rasterize_target
 
 QUANTITY_SHORT = {Quantity.CONDUCTANCE: "conductance", Quantity.AVG_CONDUCTIVITY: "avgcond"}
 # the temporaries write_atomic leaves behind when a run is killed mid-write
 _TEMPORARIES = ("*.csv.tmp", "*.pgm.tmp", "*.png.tmp", "metrics.json.tmp")
+
+
+def grid_suffix(grid_size: int, recon: tuple[ReconConfig, ...]) -> str:
+    """Image-name suffix: ``_g<N>`` unless every recon config uses that size."""
+    return "" if all(rc.grid_size == grid_size for rc in recon) else f"_g{grid_size}"
+
+
+def recon_stem(rc: ReconConfig, recon: tuple[ReconConfig, ...]) -> str:
+    """Image-name stem of one of the ``recon`` configs, after its quantity prefix."""
+    raw = "" if rc.normalize else "_raw"
+    return f"{rc.filter.value}_{rc.interp.value}{raw}{grid_suffix(rc.grid_size, recon)}"
 
 
 def sinogram_csv_text(sino: Sinogram) -> str:
@@ -42,6 +53,13 @@ def sinogram_csv_text(sino: Sinogram) -> str:
 
 def _json_safe(value: float) -> float | str:
     return "inf" if math.isinf(value) else value
+
+
+def _write_images(out_dir: Path, stem: str, img: RasterImage) -> dict:
+    """Write ``<stem>.pgm`` and ``<stem>.png``; their metrics.json fields."""
+    lo, hi = write_pgm(out_dir / f"{stem}.pgm", img)
+    write_png(out_dir / f"{stem}.png", img)
+    return {"pgm": f"{stem}.pgm", "png": f"{stem}.png", "display_lo": lo, "display_hi": hi}
 
 
 def run_pipeline(config: RunConfig) -> list[MetricsReport]:
@@ -87,26 +105,13 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
             write_atomic(out_dir / name, sinogram_csv_text(sino).encode("ascii"))
             doc["sinograms"].append({"quantity": quantity.value, "csv": name})
 
-    grid_sizes = sorted({rc.grid_size for rc in config.recon})
     targets = {}
-    for grid in grid_sizes:
-        target = normalize_image(
-            rasterize_target(config.phantom, grid, TargetQuantity.CONDUCTIVITY)
-        )
+    for grid in sorted({rc.grid_size for rc in config.recon}):
+        target = normalize_image(rasterize_target(config.phantom, grid))  # conductivity
         targets[grid] = target
         if "target_image" in emit:
             stem = "target" + grid_suffix(grid, config.recon)
-            lo, hi = write_pgm(out_dir / f"{stem}.pgm", target)
-            write_png(out_dir / f"{stem}.png", target)
-            doc["targets"].append(
-                {
-                    "grid_size": grid,
-                    "pgm": f"{stem}.pgm",
-                    "png": f"{stem}.png",
-                    "display_lo": lo,
-                    "display_hi": hi,
-                }
-            )
+            doc["targets"].append({"grid_size": grid, **_write_images(out_dir, stem, target)})
 
     for quantity in config.quantities:
         for rc in config.recon:
@@ -129,11 +134,7 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
             }
             if "recon_images" in emit:
                 stem = f"{QUANTITY_SHORT[quantity]}_{recon_stem(rc, config.recon)}"
-                lo, hi = write_pgm(out_dir / f"{stem}.pgm", image)
-                write_png(out_dir / f"{stem}.png", image)
-                entry.update(
-                    {"pgm": f"{stem}.pgm", "png": f"{stem}.png", "display_lo": lo, "display_hi": hi}
-                )
+                entry.update(_write_images(out_dir, stem, image))
             doc["results"].append(entry)
 
     if "metrics_json" in emit:

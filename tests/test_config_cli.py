@@ -18,6 +18,7 @@ from eit_fbp import (
     InterpKind,
     ParseError,
     Quantity,
+    ReconConfig,
     RunConfig,
     ValidationError,
     compute_sinogram,
@@ -34,6 +35,7 @@ from eit_fbp.config import (
     PHANTOM_KEYS,
     parse_config_dict,
 )
+from eit_fbp.pipeline import recon_stem
 
 ALL_FIXTURES = sorted(
     p.name for p in (Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")
@@ -290,6 +292,48 @@ def test_every_config_dict_is_parsed_or_rejected(doc):
     assert all(rc.grid_size**2 <= MAX_RECON_PIXELS for rc in cfg.recon)
 
 
+GRIDS = [40, 64, 80]
+_RECON_CONFIGS = st.builds(
+    ReconConfig,
+    st.sampled_from(FilterKind),
+    st.sampled_from(InterpKind),
+    st.sampled_from(GRIDS),
+    st.booleans(),
+)
+
+
+def _accepted(recon: list[ReconConfig]) -> bool:
+    entries = [
+        {
+            "filters": [rc.filter.value],
+            "interps": [rc.interp.value],
+            "grid_size": rc.grid_size,
+            "normalize": rc.normalize,
+        }
+        for rc in recon
+    ]
+    try:
+        parse_config_dict(base_config(recon=entries))
+    except ValidationError:
+        return False
+    return True
+
+
+def _names_unique(recon: list[ReconConfig]) -> bool:
+    stems = [recon_stem(rc, tuple(recon)) for rc in recon]
+    return len(set(stems)) == len(stems)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recon=st.lists(_RECON_CONFIGS, min_size=1, max_size=8), grid=st.sampled_from(GRIDS))
+def test_config_rejects_recon_lists_whose_names_collide(recon, grid):
+    # config rejects repeats by identity; this ties that rule to the names the
+    # pipeline writes, with and without a --grid style override of every grid
+    assert _accepted(recon) == _names_unique(recon)
+    overridden = [replace(rc, grid_size=grid) for rc in recon]
+    assert _accepted(overridden) == _names_unique(overridden)
+
+
 class TestRunPipeline:
     def test_one_perturbation_artifacts(self, fixtures_dir, tmp_path):
         cfg = parse_config(fixtures_dir / "one_perturbation_q10.json")
@@ -507,6 +551,28 @@ class TestCli:
             assert main([command, str(path)]) == 2
             err = capsys.readouterr().err
             assert str(path) in err and "not valid UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "original, repeat",
+        [
+            ('"angle_step_deg": 10', '"angle_step_deg": 45'),
+            ('"depth_mm": 2.0', '"depth_mm": 3.0'),
+            ('"radius_mm": 10.0', '"radius_mm": 5.0'),
+            ('"interps": ["linear"]', '"interps": ["spline"]'),
+        ],
+        ids=["top_level", "phantom", "perturbation", "recon_entry"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, capsys, command, original, repeat):
+        # json alone keeps the last copy, so the first would be silently dropped
+        text = json.dumps(base_config(output_dir=str(tmp_path / "out")))
+        assert text.count(original) == 1
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace(original, f"{original}, {repeat}"))
+        assert main([command, str(path)]) == 2
+        key = original.split('"')[1]
+        assert f"repeated key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_grid_override_that_collides_rejected(self, tmp_path, capsys):
         doc = base_config(

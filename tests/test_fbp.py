@@ -530,18 +530,22 @@ class TestRowBlocks:
         got = back_project(sino, cfg).pixels
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
-    def test_worker_failure_reaches_caller(self, cpus, monkeypatch, fixtures_dir, tmp_path):
-        # grid 81 in two blocks: rows 0-39 in the caller, rows 40-80 in a worker thread
+    # grid 81 in two blocks: rows 0-39 in the caller, rows 40-80 in a worker thread;
+    # a failure in the caller's block must still join the worker before it is raised
+    @pytest.mark.parametrize("failing_rows", [40, 41], ids=["caller_block", "worker_block"])
+    def test_worker_failure_reaches_caller(
+        self, cpus, monkeypatch, fixtures_dir, tmp_path, failing_rows
+    ):
         cpus(2)
         monkeypatch.setattr(fbp, "_MIN_BLOCK_PIXELS", 16)
         interpolate = fbp._interpolate
 
-        def fail_in_worker_block(table, interp, work, index):
-            if index.shape[0] == 41:
+        def fail_in_one_block(table, interp, work, index):
+            if index.shape[0] == failing_rows:
                 raise RuntimeError("injected block failure")
             return interpolate(table, interp, work, index)
 
-        monkeypatch.setattr(fbp, "_interpolate", fail_in_worker_block)
+        monkeypatch.setattr(fbp, "_interpolate", fail_in_one_block)
         sino = make_sinogram(np.ones((20, 2)), (0.0, 90.0))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected block failure"):
