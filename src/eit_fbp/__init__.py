@@ -48,7 +48,6 @@ from .raster import (
     MetricsReport,
     RasterImage,
     SizeMismatch,
-    TargetQuantity,
     compare,
     inscribed_mask,
     normalize_image,

@@ -273,7 +273,7 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
         raise errors[0]
     acc *= math.pi / sino.n_angles
     acc[~inscribed_mask(size, r)] = 0.0
-    return RasterImage(size=size, pixels=acc, extent=r, masked=True)
+    return RasterImage(acc, r)
 
 
 def reconstruct(sino: Sinogram, config: ReconConfig) -> RasterImage:

@@ -1,9 +1,9 @@
 """Lossless 16-bit PGM output plus an 8-bit PNG preview.
 
-Pixel values are mapped affinely from [lo, hi] (the data range over the
-masked region) onto the full integer range; the mapping is returned so
-callers can record it next to the file.  Both writers are byte-deterministic
-for identical inputs.
+Pixels inside the inscribed disk are mapped affinely from [lo, hi] (their
+data range) onto the full integer range, and the rest are written as 0; the
+mapping is returned so callers can record it next to the file.  Both writers
+are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ PNG_MAXVAL = 255
 
 
 def _to_levels(img: RasterImage, maxval: int) -> tuple[np.ndarray, float, float]:
-    """Quantize to [0, maxval]; a constant image maps to mid-gray."""
+    """Quantize to [0, maxval]; a constant disk maps to mid-gray."""
     out, lo, hi = rescale(img, maxval, maxval // 2)
     levels = np.rint(np.clip(out, 0, maxval)).astype(np.uint32)
     return levels, lo, hi

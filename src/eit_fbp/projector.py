@@ -44,6 +44,8 @@ class Projection:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        if v.ndim != 1:
+            raise ValueError(f"projection values must be 1-D, got shape {v.shape}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -60,9 +62,14 @@ class Sinogram:
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=float)
+        angles = tuple(float(a) for a in self.angles_deg)
+        if d.ndim != 2:
+            raise ValueError(f"sinogram data must be 2-D (slices x angles), got shape {d.shape}")
+        if d.shape[1] != len(angles):
+            raise ValueError(f"sinogram has {d.shape[1]} columns but {len(angles)} angles")
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
-        object.__setattr__(self, "angles_deg", tuple(float(a) for a in self.angles_deg))
+        object.__setattr__(self, "angles_deg", angles)
 
     @property
     def n_slices(self) -> int:

@@ -3,8 +3,9 @@
 Deliberately simple pixel-based binning: each pixel's value is shared
 linearly between the two lateral bins nearest its projected center, scaled
 by pixel area / bin width.  (Dumping the whole value into a single bin
-aliases badly against the bin grid at 45 degrees.)  It shares no code path
-with the analytic projector or the FBP sampler, which is what makes it
+aliases badly against the bin grid at 45 degrees.)  It integrates every
+pixel it is given, inside the inscribed circle or not.  It shares no code
+path with the analytic projector or the FBP sampler, which is what makes it
 useful as a cross-check and for round-trip tests.
 """
 

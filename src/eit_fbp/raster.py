@@ -1,8 +1,12 @@
-"""Rasterized ground-truth images and image comparison metrics."""
+"""Rasterized ground-truth images and image comparison metrics.
+
+Every image is a square grid over the subject's bounding square, and only the
+pixels inside or on its inscribed circle count: normalization, the display
+range and comparison all read those pixels alone.
+"""
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -15,30 +19,27 @@ class SizeMismatch(ValueError):
     """Images being compared must share size and extent."""
 
 
-class TargetQuantity(enum.Enum):
-    CONDUCTIVITY = "conductivity"
-    RESISTIVITY = "resistivity"
-
-
 @dataclass(frozen=True)
 class RasterImage:
     """Square grid of scalars on a physical frame spanning [-extent, extent]^2.
 
-    Row 0 is the top of the image (y decreasing down the rows).  When
-    ``masked`` is set, pixels strictly outside the inscribed circle are 0.
+    Row 0 is the top of the image (y decreasing down the rows).  Only the
+    pixels whose centers lie inside or on the inscribed circle count.
     """
 
-    size: int
     pixels: np.ndarray
     extent: float
-    masked: bool
 
     def __post_init__(self):
         p = np.asarray(self.pixels, dtype=float)
-        if p.shape != (self.size, self.size):
-            raise ValueError(f"pixels shape {p.shape} != ({self.size}, {self.size})")
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise ValueError(f"pixels must be a square 2-D array, got shape {p.shape}")
         p.flags.writeable = False
         object.__setattr__(self, "pixels", p)
+
+    @property
+    def size(self) -> int:
+        return self.pixels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,11 @@ def inscribed_mask(size: int, extent: float) -> np.ndarray:
     return xs[None, :] ** 2 + ys[:, None] ** 2 <= extent * extent
 
 
-def rasterize_target(
-    phantom: Phantom, grid_size: int, quantity: TargetQuantity = TargetQuantity.CONDUCTIVITY
-) -> RasterImage:
-    """Ground-truth material map sampled at pixel centers.
+def rasterize_target(phantom: Phantom, grid_size: int) -> RasterImage:
+    """Ground-truth conductivity map sampled at pixel centers.
 
-    Each pixel takes the conductivity (or resistivity) of the material whose
-    disk contains its center; 0 outside the subject.
+    Each pixel inside the inscribed circle takes the conductivity of the
+    material whose disk contains its center; pixels outside it are 0.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
@@ -77,35 +76,23 @@ def rasterize_target(
     gx = xs[None, :]
     gy = ys[:, None]
 
-    def level(resistivity: float) -> float:
-        if quantity is TargetQuantity.CONDUCTIVITY:
-            return 1.0 / resistivity
-        return resistivity
-
     img = np.zeros((grid_size, grid_size))
     inside = inscribed_mask(grid_size, r)
-    img[inside] = level(phantom.subject_resistivity)
+    img[inside] = 1.0 / phantom.subject_resistivity
     for c in phantom.perturbations:
         hit = (gx - c.center_x) ** 2 + (gy - c.center_y) ** 2 <= c.radius * c.radius
-        img[hit & inside] = level(c.resistivity)
-    return RasterImage(size=grid_size, pixels=img, extent=r, masked=True)
-
-
-def _region(img: RasterImage) -> np.ndarray:
-    """Pixels that count: the inscribed circle when ``img.masked``, else all."""
-    if img.masked:
-        return inscribed_mask(img.size, img.extent)
-    return np.ones((img.size, img.size), dtype=bool)
+        img[hit & inside] = 1.0 / c.resistivity
+    return RasterImage(img, r)
 
 
 def rescale(img: RasterImage, top: float, flat: float) -> tuple[np.ndarray, float, float]:
-    """Map the counted pixels affinely from their (lo, hi) range onto [0, top].
+    """Map the inscribed disk's pixels affinely from their (lo, hi) range onto [0, top].
 
-    Returns the mapped array, 0 outside the counted region, and (lo, hi).
-    A region without spread maps to ``flat``, so a degenerate range never
-    divides by zero; (lo, hi) is (0, 0) when no pixel counts.
+    Returns the mapped array, 0 outside the disk, and (lo, hi).  A disk
+    without spread maps to ``flat``, so a degenerate range never divides by
+    zero; (lo, hi) is (0, 0) when no pixel counts.
     """
-    mask = _region(img)
+    mask = inscribed_mask(img.size, img.extent)
     vals = img.pixels[mask]
     lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (0.0, 0.0)
     if hi > lo:
@@ -120,16 +107,16 @@ def rescale(img: RasterImage, top: float, flat: float) -> tuple[np.ndarray, floa
 
 
 def normalize_image(img: RasterImage) -> RasterImage:
-    """Min-max normalize to [0, 1] over the masked region; mask zeros preserved.
+    """Min-max normalize the inscribed disk to [0, 1]; pixels outside it become 0.
 
-    A constant masked region maps to 0.5 everywhere inside the mask.
+    A constant disk maps to 0.5 everywhere inside it.
     """
     out, _, _ = rescale(img, 1.0, 0.5)
-    return RasterImage(size=img.size, pixels=out, extent=img.extent, masked=img.masked)
+    return RasterImage(out, img.extent)
 
 
 def compare(a: RasterImage, b: RasterImage) -> MetricsReport:
-    """RMSE, Pearson correlation and PSNR over the intersection of the masks.
+    """RMSE, Pearson correlation and PSNR over the pixels of the inscribed disk.
 
     PSNR uses peak 1.0 (intended for normalized inputs) and is +inf for
     identical images; the Pearson correlation of a constant image is 0.
@@ -138,7 +125,7 @@ def compare(a: RasterImage, b: RasterImage) -> MetricsReport:
         raise SizeMismatch(
             f"image geometry mismatch: {a.size}/{a.extent} vs {b.size}/{b.extent}"
         )
-    mask = _region(a) & _region(b)
+    mask = inscribed_mask(a.size, a.extent)
     va = a.pixels[mask]
     vb = b.pixels[mask]
 

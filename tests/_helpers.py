@@ -48,7 +48,7 @@ def nearest_pixel_value(img: RasterImage, x: float, y: float) -> float:
 
 
 def top_decile_mask(img: RasterImage) -> np.ndarray:
-    """Pixels at or above the 90th percentile of the masked region."""
+    """Pixels at or above the 90th percentile of the inscribed disk."""
     mask = inscribed_mask(img.size, img.extent)
     threshold = np.quantile(img.pixels[mask], 0.9)
     return (img.pixels >= threshold) & mask

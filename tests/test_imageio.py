@@ -62,13 +62,17 @@ class TestPgm:
         np.testing.assert_array_equal(data[mask], expected[mask])
 
     def test_constant_image_is_mid_gray(self, tmp_path):
-        img = RasterImage(8, np.full((8, 8), 3.0), 4.0, masked=False)
+        img = RasterImage(np.full((8, 8), 3.0), 4.0)
+        mask = inscribed_mask(8, 4.0)
         lo, hi = write_pgm(tmp_path / "c.pgm", img)
         assert lo == hi == 3.0
         _, data = read_pgm(tmp_path / "c.pgm")
-        assert np.all(data == 65535 // 2)
+        assert np.all(data[mask] == 65535 // 2)
+        assert np.all(data[~mask] == 0)
         assert write_png(tmp_path / "c.png", img) == (3.0, 3.0)
-        assert np.all(read_png(tmp_path / "c.png") == 127)
+        levels = read_png(tmp_path / "c.png")
+        assert np.all(levels[mask] == 127)
+        assert np.all(levels[~mask] == 0)
 
     def test_deterministic_bytes(self, tmp_path, target):
         write_pgm(tmp_path / "a.pgm", target)

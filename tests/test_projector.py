@@ -11,7 +11,9 @@ from eit_fbp import (
     IndexOutOfRange,
     InvalidAngleStep,
     Phantom,
+    Projection,
     Quantity,
+    Sinogram,
     compute_sinogram,
     project,
     slice_avg_conductivity,
@@ -193,6 +195,11 @@ class TestProject:
         p = project(one_perturbation, 0.0, Quantity.CONDUCTANCE)
         assert p.values.shape == (80,)
 
+    @pytest.mark.parametrize("shape", [(), (8, 1)])
+    def test_values_must_be_1d(self, shape):
+        with pytest.raises(ValueError, match="1-D"):
+            Projection(np.ones(shape), 0.0, Quantity.CONDUCTANCE)
+
     def test_homogeneous_rotation_invariance(self, homogeneous):
         a = project(homogeneous, 0.0, Quantity.CONDUCTANCE).values
         b = project(homogeneous, 77.3, Quantity.CONDUCTANCE).values
@@ -253,6 +260,16 @@ class TestSinogram:
             ph = random_phantom(rng)
             sums = compute_sinogram(ph, 5, Quantity.CONDUCTANCE).data.sum(axis=0)
             assert np.ptp(sums) <= 1e-6 * sums.mean()
+
+    @pytest.mark.parametrize("n_columns", [3, 1])
+    def test_column_count_must_match_angle_count(self, n_columns):
+        with pytest.raises(ValueError, match=f"{n_columns} columns but 2 angles"):
+            Sinogram(np.ones((8, n_columns)), (0.0, 60.0), Quantity.CONDUCTANCE, 1.0, 4.0)
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 2, 1)])
+    def test_data_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            Sinogram(np.ones(shape), (0.0, 90.0), Quantity.CONDUCTANCE, 1.0, 4.0)
 
     def test_data_is_read_only(self, one_perturbation):
         sino = compute_sinogram(one_perturbation, 30, Quantity.CONDUCTANCE)

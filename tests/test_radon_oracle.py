@@ -22,7 +22,7 @@ from eit_fbp import (
 
 class TestDiscreteRadon:
     def test_zero_image(self):
-        img = RasterImage(32, np.zeros((32, 32)), 10.0, masked=False)
+        img = RasterImage(np.zeros((32, 32)), 10.0)
         sino = discrete_radon(img, 30, 16)
         assert np.all(sino.data == 0.0)
         assert sino.n_angles == 6
@@ -31,7 +31,7 @@ class TestDiscreteRadon:
         # odd grid and odd bin count put a pixel and a bin dead center
         pixels = np.zeros((81, 81))
         pixels[40, 40] = 1.0
-        img = RasterImage(81, pixels, 40.5, masked=False)
+        img = RasterImage(pixels, 40.5)
         sino = discrete_radon(img, 5, 81)
         center = sino.data[40, :]
         assert np.all(center > 0)
@@ -84,7 +84,7 @@ class TestDiscreteRadon:
 class TestRoundTrip:
     def test_zero_image(self):
         # unnormalized: the normalize step intentionally maps a constant to 0.5
-        img = RasterImage(32, np.zeros((32, 32)), 10.0, masked=False)
+        img = RasterImage(np.zeros((32, 32)), 10.0)
         cfg = ReconConfig(FilterKind.RAM_LAK, InterpKind.LINEAR, 32, normalize=False)
         out = round_trip(img, cfg, 30)
         assert np.all(out.pixels == 0.0)
@@ -93,7 +93,7 @@ class TestRoundTrip:
         img = rasterize_target(one_perturbation, 64)
         cfg = ReconConfig(FilterKind.RAM_LAK, InterpKind.LINEAR, 64, normalize=False)
         once = round_trip(img, cfg, 15).pixels
-        scaled_img = RasterImage(64, 3.0 * img.pixels, img.extent, img.masked)
+        scaled_img = RasterImage(3.0 * img.pixels, img.extent)
         scaled = round_trip(scaled_img, cfg, 15).pixels
         np.testing.assert_allclose(scaled, 3.0 * once, atol=1e-8 * np.abs(once).max())
 

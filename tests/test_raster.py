@@ -7,12 +7,20 @@ from _helpers import nearest_pixel_value
 from eit_fbp import (
     RasterImage,
     SizeMismatch,
-    TargetQuantity,
     compare,
     inscribed_mask,
     normalize_image,
     rasterize_target,
 )
+
+
+class TestRasterImage:
+    def test_pixels_must_be_square_and_2d(self):
+        for shape in ((4, 5), (4,), (4, 4, 1)):
+            with pytest.raises(ValueError, match="square 2-D"):
+                RasterImage(np.zeros(shape), 1.0)
+        img = RasterImage(np.zeros((5, 5)), 1.0)
+        assert img.size == 5
 
 
 class TestRasterizeTarget:
@@ -21,7 +29,7 @@ class TestRasterizeTarget:
         mask = inscribed_mask(80, 40)
         assert np.all(img.pixels[mask] == 2000.0)
         assert np.all(img.pixels[~mask] == 0.0)
-        assert img.masked and img.extent == 40.0
+        assert img.extent == 40.0
 
     def test_perturbation_and_background_values(self, one_perturbation):
         img = rasterize_target(one_perturbation, 160)
@@ -31,12 +39,6 @@ class TestRasterizeTarget:
     def test_corner_outside_circle(self, one_perturbation):
         img = rasterize_target(one_perturbation, 160)
         assert nearest_pixel_value(img, 39.9, 39.9) == 0.0
-
-    def test_resistivity_target_is_reciprocal(self, one_perturbation):
-        cond = rasterize_target(one_perturbation, 80, TargetQuantity.CONDUCTIVITY)
-        resi = rasterize_target(one_perturbation, 80, TargetQuantity.RESISTIVITY)
-        mask = inscribed_mask(80, 40)
-        np.testing.assert_allclose(cond.pixels[mask] * resi.pixels[mask], 1.0, rtol=1e-12)
 
     def test_grid_size_too_small(self, homogeneous):
         with pytest.raises(ValueError):
@@ -61,7 +63,7 @@ class TestNormalizeImage:
         assert img.pixels[mask].max() == 1.0
         assert np.all(img.pixels[~mask] == 0.0)
 
-    def test_constant_masked_region_maps_to_half(self, homogeneous):
+    def test_constant_disk_maps_to_half(self, homogeneous):
         img = normalize_image(rasterize_target(homogeneous, 64))
         mask = inscribed_mask(64, 40)
         assert np.all(img.pixels[mask] == 0.5)
@@ -72,20 +74,13 @@ class TestNormalizeImage:
         twice = normalize_image(once)
         np.testing.assert_allclose(twice.pixels, once.pixels, atol=1e-12)
 
-    def test_unmasked_image_normalizes_over_all_pixels(self):
-        pixels = np.linspace(5.0, 9.0, 36).reshape(6, 6)
-        img = RasterImage(6, pixels, 3.0, masked=False)
-        out = normalize_image(img)
-        assert out.pixels.min() == 0.0
-        assert out.pixels.max() == 1.0
-
 
 class TestCompare:
     def make_pair(self, one_perturbation):
         a = normalize_image(rasterize_target(one_perturbation, 80))
         mask = inscribed_mask(80, 40)
         flipped = np.where(mask, 1.0 - a.pixels, 0.0)
-        b = RasterImage(80, flipped, 40.0, masked=True)
+        b = RasterImage(flipped, 40.0)
         return a, b
 
     def test_self_comparison(self, one_perturbation):
@@ -106,12 +101,12 @@ class TestCompare:
         assert ab.rmse == ba.rmse
         assert ab.pearson == pytest.approx(ba.pearson, abs=1e-15)
 
-    def test_masked_against_unmasked_ignores_outside_circle(self, one_perturbation):
+    def test_pixels_outside_disk_never_count(self, one_perturbation):
         a, flipped = self.make_pair(one_perturbation)
         mask = inscribed_mask(80, 40)
         outside = np.random.default_rng(0).uniform(5.0, 9.0, (80, 80))
-        same = RasterImage(80, np.where(mask, a.pixels, outside), 40.0, masked=False)
-        other = RasterImage(80, np.where(mask, flipped.pixels, outside), 40.0, masked=False)
+        same = RasterImage(np.where(mask, a.pixels, outside), 40.0)
+        other = RasterImage(np.where(mask, flipped.pixels, outside), 40.0)
         for x, y in ((a, same), (same, a)):
             m = compare(x, y)
             assert m.rmse == 0.0
@@ -134,8 +129,8 @@ class TestCompare:
 
     def test_psnr_formula(self):
         base = np.zeros((4, 4))
-        a = RasterImage(4, base, 2.0, masked=False)
-        b = RasterImage(4, base + 0.1, 2.0, masked=False)
+        a = RasterImage(base, 2.0)
+        b = RasterImage(base + 0.1, 2.0)
         m = compare(a, b)
         assert m.rmse == pytest.approx(0.1, rel=1e-12)
         assert m.psnr == pytest.approx(20.0, rel=1e-12)
