@@ -1,8 +1,10 @@
 """Run configuration: parse and validate strict JSON with units in the key names.
 
 Unknown and repeated keys are rejected everywhere so a typo cannot silently
-fall back to a default.  Quantities, filters and interpolations are given by
-their lowercase names; the recon section is a list of filter x interpolation
+fall back to a default.  Quantities, filters, interpolations and emit kinds
+are lists of lowercase names, all read by :func:`_names`, which rejects a
+non-list or an unknown name and names the key.  A repeated quantity or emit
+kind is kept once; the recon section is a list of filter x interpolation
 matrices that expand to individual reconstruction configs, and one equal to
 an earlier one is rejected: the two would write the same artifacts.
 """
@@ -244,22 +246,11 @@ def _parse_phantom(data: object) -> Phantom:
 
 
 def _parse_quantities(data: object) -> tuple[Quantity, ...]:
-    if not isinstance(data, list):
-        raise ParseError("quantities must be a list")
-    out: list[Quantity] = []
-    for name in data:
-        try:
-            q = Quantity(name)
-        except ValueError:
-            raise ParseError(
-                f"unknown quantity '{name}'; expected one of "
-                f"{[q.value for q in Quantity]}"
-            ) from None
-        if q not in out:
-            out.append(q)
-    if not out:
+    names = _names(data, [q.value for q in Quantity], "quantities")
+    if not names:
         raise ValidationError("at least one quantity is required")
-    return tuple(out)
+    # first-occurrence order, deduplicated
+    return tuple(Quantity(name) for name in dict.fromkeys(names))
 
 
 def _parse_recon(data: object, default_grid: int) -> tuple[ReconConfig, ...]:
@@ -292,26 +283,24 @@ def _parse_recon(data: object, default_grid: int) -> tuple[ReconConfig, ...]:
     return tuple(out)
 
 
-def _enum_list(data: object, enum_cls, where: str) -> list:
-    if not isinstance(data, list) or not data:
-        raise ParseError(f"{where} must be a non-empty list")
-    out = []
+def _names(data: object, allowed: list[str] | tuple[str, ...], where: str) -> list[str]:
+    """``data`` if it is a list of names from ``allowed``, else a ParseError naming ``where``."""
+    if not isinstance(data, list):
+        raise ParseError(f"{where} must be a list")
     for name in data:
-        try:
-            out.append(enum_cls(name))
-        except ValueError:
-            raise ParseError(
-                f"unknown value '{name}' in {where}; expected one of "
-                f"{[e.value for e in enum_cls]}"
-            ) from None
-    return out
+        if name not in allowed:
+            raise ParseError(f"unknown value '{name}' in {where}; expected one of {list(allowed)}")
+    return data
+
+
+def _enum_list(data: object, enum_cls, where: str) -> list:
+    names = _names(data, [e.value for e in enum_cls], where)
+    if not names:
+        raise ParseError(f"{where} must be a non-empty list")
+    return [enum_cls(name) for name in names]
 
 
 def _parse_emit(data: object) -> tuple[str, ...]:
-    if not isinstance(data, list):
-        raise ParseError("emit must be a list")
-    for name in data:
-        if name not in EMIT_KINDS:
-            raise ParseError(f"unknown emit kind '{name}'; expected one of {list(EMIT_KINDS)}")
+    names = _names(data, EMIT_KINDS, "emit")
     # canonical order, deduplicated
-    return tuple(kind for kind in EMIT_KINDS if kind in data)
+    return tuple(kind for kind in EMIT_KINDS if kind in names)

@@ -88,34 +88,17 @@ def validate(phantom: Phantom) -> Phantom:
     PerturbationOutsideSubject or OverlappingPerturbations; the error names
     the offending circle index where one applies.
     """
-    dimensions = ("subject_radius", "subject_resistivity", "depth", "slice_width")
-    # NaN compares False with everything, so the range checks below would pass it
-    for name in dimensions:
-        value = getattr(phantom, name)
-        if not math.isfinite(value):
-            raise NonPositiveDimension(f"{name} must be finite, got {value}")
-    for name in dimensions:
-        value = getattr(phantom, name)
-        if value <= 0:
-            raise NonPositiveDimension(f"{name} must be > 0, got {value}")
+    for name in ("subject_radius", "subject_resistivity", "depth", "slice_width"):
+        _check(name, getattr(phantom, name), positive=True)
     if phantom.slice_width > phantom.subject_radius:
         raise NonPositiveDimension(
             f"slice_width {phantom.slice_width} exceeds subject_radius {phantom.subject_radius}"
         )
 
     for i, c in enumerate(phantom.perturbations):
+        # a center need only be finite; the reach check below places it
         for name in ("center_x", "center_y", "radius", "resistivity"):
-            value = getattr(c, name)
-            if not math.isfinite(value):
-                raise NonPositiveDimension(
-                    f"perturbation {i}: {name} must be finite, got {value}", i
-                )
-        if c.radius <= 0:
-            raise NonPositiveDimension(f"perturbation {i}: radius must be > 0, got {c.radius}", i)
-        if c.resistivity <= 0:
-            raise NonPositiveDimension(
-                f"perturbation {i}: resistivity must be > 0, got {c.resistivity}", i
-            )
+            _check(f"perturbation {i}: {name}", getattr(c, name), "center" not in name, i)
         reach = math.hypot(c.center_x, c.center_y) + c.radius
         if reach > phantom.subject_radius:
             raise PerturbationOutsideSubject(
@@ -135,6 +118,15 @@ def validate(phantom: Phantom) -> Phantom:
                     (i, j),
                 )
     return phantom
+
+
+def _check(label: str, value: float, positive: bool, index: int | None = None) -> None:
+    """Raise NonPositiveDimension unless ``value`` is finite and, if ``positive``, > 0."""
+    # NaN compares False with everything, so a plain <= 0 test would pass it
+    if not math.isfinite(value):
+        raise NonPositiveDimension(f"{label} must be finite, got {value}", index)
+    if positive and value <= 0:
+        raise NonPositiveDimension(f"{label} must be > 0, got {value}", index)
 
 
 def rotate_center(p: Point, theta_deg: float) -> Point:

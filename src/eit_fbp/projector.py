@@ -67,6 +67,10 @@ class Sinogram:
             raise ValueError(f"sinogram data must be 2-D (slices x angles), got shape {d.shape}")
         if d.shape[1] != len(angles):
             raise ValueError(f"sinogram has {d.shape[1]} columns but {len(angles)} angles")
+        for name in ("slice_width", "subject_radius"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"sinogram {name} must be finite and > 0, got {value}")
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "angles_deg", angles)

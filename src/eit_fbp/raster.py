@@ -32,8 +32,10 @@ class RasterImage:
 
     def __post_init__(self):
         p = np.asarray(self.pixels, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"pixels must be a square 2-D array, got shape {p.shape}")
+        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.size == 0:
+            raise ValueError(f"pixels must be a non-empty square 2-D array, got shape {p.shape}")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be finite and > 0, got {self.extent}")
         p.flags.writeable = False
         object.__setattr__(self, "pixels", p)
 
@@ -90,11 +92,11 @@ def rescale(img: RasterImage, top: float, flat: float) -> tuple[np.ndarray, floa
 
     Returns the mapped array, 0 outside the disk, and (lo, hi).  A disk
     without spread maps to ``flat``, so a degenerate range never divides by
-    zero; (lo, hi) is (0, 0) when no pixel counts.
+    zero.
     """
     mask = inscribed_mask(img.size, img.extent)
     vals = img.pixels[mask]
-    lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (0.0, 0.0)
+    lo, hi = float(vals.min()), float(vals.max())
     if hi > lo:
         vals -= lo
         vals /= hi - lo

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -169,6 +170,31 @@ class TestParseConfig:
     def test_unknown_emit_kind(self):
         with pytest.raises(ParseError, match="emit"):
             parse_config_dict(base_config(emit=["csv"]))
+
+    @pytest.mark.parametrize(
+        "key, put, empty_error",
+        [
+            ("quantities", lambda d, v: d.update(quantities=v), ValidationError),
+            ("recon[0].filters", lambda d, v: d["recon"][0].update(filters=v), ParseError),
+            ("recon[0].interps", lambda d, v: d["recon"][0].update(interps=v), ParseError),
+            ("emit", lambda d, v: d.update(emit=v), None),
+        ],
+        ids=["quantities", "filters", "interps", "emit"],
+    )
+    def test_named_list(self, key, put, empty_error):
+        # a bare string is not a list, and an unknown name is rejected
+        for value in ("bogus", ["bogus"]):
+            doc = base_config()
+            put(doc, value)
+            with pytest.raises(ParseError, match=re.escape(key)):
+                parse_config_dict(doc)
+        doc = base_config()
+        put(doc, [])
+        if empty_error is None:
+            assert parse_config_dict(doc).emit == ()
+        else:
+            with pytest.raises(empty_error):
+                parse_config_dict(doc)
 
     def test_emit_canonical_order(self):
         cfg = parse_config_dict(base_config(emit=["metrics_json", "sinogram_csv", "metrics_json"]))

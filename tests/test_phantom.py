@@ -68,6 +68,12 @@ class TestValidate:
             validate(Phantom(**base))
         assert next(iter(kwargs)) in str(exc.value)
 
+    def test_first_bad_dimension_in_declaration_order_is_named(self):
+        with pytest.raises(NonPositiveDimension, match="subject_radius must be > 0"):
+            validate(Phantom(-1, 0.0005, math.nan, 1))
+        with pytest.raises(NonPositiveDimension, match="perturbation 0: radius must be > 0"):
+            validate(Phantom(40, 0.0005, 2, 1, (Circle(0, 0, -1, math.nan),)))
+
     @pytest.mark.parametrize(
         "circle",
         [

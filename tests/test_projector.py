@@ -271,6 +271,15 @@ class TestSinogram:
         with pytest.raises(ValueError, match="2-D"):
             Sinogram(np.ones(shape), (0.0, 90.0), Quantity.CONDUCTANCE, 1.0, 4.0)
 
+    # a negative width or radius back-projected to an all-zero image, and a zero
+    # or NaN one to warnings and garbage
+    @pytest.mark.parametrize("field", ["slice_width", "subject_radius"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_geometry_must_be_finite_and_positive(self, field, value):
+        geometry = {"slice_width": 1.0, "subject_radius": 4.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            Sinogram(np.ones((8, 2)), (0.0, 90.0), Quantity.CONDUCTANCE, **geometry)
+
     def test_data_is_read_only(self, one_perturbation):
         sino = compute_sinogram(one_perturbation, 30, Quantity.CONDUCTANCE)
         with pytest.raises(ValueError):

@@ -22,6 +22,21 @@ class TestRasterImage:
         img = RasterImage(np.zeros((5, 5)), 1.0)
         assert img.size == 5
 
+    def test_pixels_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            RasterImage(np.zeros((0, 0)), 1.0)
+
+    @pytest.mark.parametrize("extent", [0.0, -1.0, math.nan, math.inf])
+    def test_extent_must_be_finite_and_positive(self, extent):
+        with pytest.raises(ValueError, match="extent"):
+            RasterImage(np.zeros((4, 4)), extent)
+
+    # rescale reads min and max of the disk's pixels, so no valid image may have none
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_smallest_images_have_a_disk(self, size):
+        assert inscribed_mask(size, 1.0).any()
+        assert normalize_image(RasterImage(np.ones((size, size)), 1.0)).pixels.max() == 0.5
+
 
 class TestRasterizeTarget:
     def test_homogeneous_disk(self, homogeneous):
