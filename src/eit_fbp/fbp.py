@@ -5,16 +5,22 @@ the slice axis, zero-padded to a power of two, times the ramp-times-window
 gains.  Each filtered column is then smeared back across the pixel grid along
 its projection lines and accumulated over angles with weight pi / n_angles.
 One basis matrix per interpolation kind turns every column into a table of
-polynomial pieces, which is evaluated at the pixels by Horner's rule.  An angle
-and its mirror 180 - theta share one lateral grid, since t at 180 - theta is t
-at theta mirrored in x: it is located once and both tables are evaluated on it.
-That changes the order of the sums, so images match earlier releases to
-rounding level rather than bit for bit.
+polynomial pieces, which is evaluated at the pixels by Horner's rule.  Angles
+share one lateral grid in groups of up to four: t at 180 - theta is t at theta
+mirrored in x, t at theta + 90 is t at theta turned a quarter, and t at
+90 - theta is that turn flipped in y.  So t is located once per group and every
+member's table is evaluated on it; the quarter turns gather in a second
+accumulator that is turned into the image once, at the end.  0 and 90 are never
+quarter partners, since there t lies on the pixel lattice and nearest's half-way
+ties follow the last bit of cos 90.  Sharing changes the order of the sums, so
+images match earlier releases to rounding level rather than bit for bit.
 
-Large grids are back-projected in contiguous row blocks, one thread per usable
-CPU, in buffers the caller allocates once: memory does not grow with the CPU
-count, and since every pixel sees the same operations in the same order, the
-image is bit-identical for any CPU count.
+Large grids are back-projected in row blocks, one thread per usable CPU, in
+buffers the caller allocates once, so memory does not grow with the CPU count.
+A block is a pair of row slabs mirrored about the centre row, and the innermost
+is one slab that is its own mirror, so an add flipped in y stays in the rows of
+the thread that computed it.  Every pixel sees the same operations in the same
+order, so the image is bit-identical for any CPU count.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import enum
 import math
 import os
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -161,7 +168,8 @@ def _interpolate(
     else:
         np.floor(t, out=scratch)
         t -= scratch  # offset into the piece
-    np.add(scratch, 3, out=index, casting="unsafe")  # the piece on [j, j + 1)
+    np.copyto(index, scratch, casting="unsafe")  # not np.add: a casting ufunc allocates a buffer
+    index += 3  # the piece on [j, j + 1)
     return _evaluate(table, work, index)
 
 
@@ -187,29 +195,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _mirror_pairs(angles_deg: tuple[float, ...]) -> list[tuple[int, int | None]]:
-    """Every angle's index in sinogram order, each with the index of its mirror 180 - angle,
-    or alone: the lower angle of a pair stands for both, and the partner is left out.
+def _groups(angles_deg: tuple[float, ...]) -> list[tuple[int, int | None, int | None, int | None]]:
+    """Every lead angle's index in sinogram order, each with the indices of its partners
+    (or None): the mirror 180 - angle, the quarter turn angle + 90 and the flipped quarter
+    turn 90 - angle.  The lowest free angle leads, so each angle joins exactly one group.
 
-    A pair sums to 180 within one ulp of 180, as ``i * step`` sweeps do; found by two
-    pointers over the sorted angles, so each angle pairs at most once and never with an
-    equal angle.
+    A partner matches within one ulp of 180, as ``i * step`` sweeps do, and never equals
+    its lead.  Multiples of 90 take no part in quarter turns: t there lies on the pixel
+    lattice, where nearest's half-way ties are decided by the last bit of cos 90.
     """
-    order = sorted(range(len(angles_deg)), key=angles_deg.__getitem__)
-    partner: dict[int, int] = {}
-    lo, hi = 0, len(order) - 1
-    while lo < hi:
-        a, b = angles_deg[order[lo]], angles_deg[order[hi]]
-        excess = a + b - 180.0
-        if abs(excess) <= math.ulp(180.0) and a < b:
-            partner[order[lo]] = order[hi]
-            lo, hi = lo + 1, hi - 1
-        elif excess < 0:
-            lo += 1
-        else:
-            hi -= 1
-    partners = set(partner.values())
-    return [(k, partner.get(k)) for k in range(len(angles_deg)) if k not in partners]
+    tol = math.ulp(180.0)
+    free: dict[float, list[int]] = {}  # each angle's unclaimed indices, lowest last
+    for k in reversed(range(len(angles_deg))):
+        free.setdefault(angles_deg[k], []).append(k)
+    angles = sorted(free)
+    off_axis = [a for a in angles if a % 90]
+
+    def claim(candidates: list[float], lead: float, sign: float, total: float) -> int | None:
+        """Claim a free index whose angle a has a + sign * lead within tol of total."""
+        guess = total - sign * lead
+        lo, hi = bisect_left(candidates, guess - 2 * tol), bisect_right(candidates, guess + 2 * tol)
+        for a in candidates[lo:hi]:
+            if free[a] and a != lead and abs(a + sign * lead - total) <= tol:
+                return free[a].pop()
+        return None
+
+    groups = []
+    for lead in angles:
+        while free[lead]:
+            k = free[lead].pop()
+            mirror = claim(angles, lead, 1.0, 180.0)
+            if lead % 90:
+                turned = claim(off_axis, lead, -1.0, 90.0)
+                flipped = claim(off_axis, lead, 1.0, 90.0)
+            else:
+                turned = flipped = None
+            groups.append((k, mirror, turned, flipped))
+    return sorted(groups)
 
 
 def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
@@ -217,11 +239,13 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
 
     Pixel centers span [-R, R]^2; each angle contributes its sampled column
     times d_theta = pi / n_angles, and pixels outside the inscribed circle
-    are zeroed, which covers every pixel with |s| > R.  Each mirror pair of
-    angles (see :func:`_mirror_pairs`) shares one lateral grid, the partner
-    added reversed in x.  Grids of at least 2 * _MIN_BLOCK_PIXELS pixels are
-    split into row blocks across the usable CPUs; the image is bit-identical
-    for any number of them.
+    are zeroed, which covers every pixel with |s| > R.  Each group of angles
+    (see :func:`_groups`) shares one lateral grid: the mirror is added reversed
+    in x, and the two quarter turns go into a second accumulator, the flipped one
+    reversed in y, which is turned a quarter and added once at the end.  Grids of
+    at least 2 * _MIN_BLOCK_PIXELS pixels are split across the usable CPUs into
+    blocks of rows closed under the flip in y; the image is bit-identical for any
+    number of them.
     """
     if sino.data.size == 0 or sino.n_angles == 0:
         raise EmptySinogram("sinogram has no data")
@@ -229,48 +253,85 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     r = sino.subject_radius
     xs, ys = pixel_centers(size, r)
     tables = _pieces(sino.data.T, config.interp)
-    pairs = [
-        (tables[k], math.radians(sino.angles_deg[k]), None if m is None else tables[m])
-        for k, m in _mirror_pairs(sino.angles_deg)
+    groups = [
+        (math.radians(sino.angles_deg[g[0]]), *(None if i is None else tables[i] for i in g))
+        for g in _groups(sino.angles_deg)
     ]
 
     acc = np.zeros((size, size))
+    quarter = np.zeros((size, size))  # the quarter turns, turned into acc at the end
     # grid^2 buffers allocated once and shared out as row views: fresh ones per
     # angle or per thread cost more in page faults and memory
     work = np.empty((3, size, size))
     index = np.empty((size, size), dtype=int)
 
-    def accumulate(rows: slice) -> None:
-        block, block_work, block_index = acc[rows], work[:, rows], index[rows]
-        for table, th, mirror in pairs:
-            t = np.add(xs * math.cos(th), ys[rows, None] * math.sin(th), out=block_work[0])
+    def accumulate(rows: slice, parts: list[tuple[slice, slice, slice]]) -> None:
+        """Back-project one block: ``rows`` of the work buffers, split into ``parts``, each
+        (its image rows, its rows of the block, the image rows it lands on flipped in y)."""
+        block_work, block_index = work[:, rows], index[rows]
+        t, value, spare = block_work  # _evaluate's scratch is spare between calls
+        y = np.concatenate([ys[image] for image, _, _ in parts])[:, None]
+        # broadcast and reversed operands go through copies: a ufunc reading one
+        # allocates a buffer, in every thread at once
+        for th, table, mirror, turned, flipped in groups:
+            np.copyto(t, xs)
+            t *= math.cos(th)
+            np.copyto(spare, y)
+            spare *= math.sin(th)
+            t += spare
             t += r
             t -= sino.slice_width / 2.0
             t /= sino.slice_width
-            block += _interpolate(table, config.interp, block_work, block_index)
+            _interpolate(table, config.interp, block_work, block_index)
+            for image, at, _ in parts:
+                acc[image] += value[at]
             if mirror is not None:  # t at 180 - theta is t at theta mirrored in x
-                block[:, ::-1] += _evaluate(mirror, block_work, block_index)
+                _evaluate(mirror, block_work, block_index)
+                np.copyto(spare, value[:, ::-1])
+                for image, at, _ in parts:
+                    acc[image] += spare[at]
+            if turned is not None:  # t at theta + 90 is t at theta turned a quarter
+                _evaluate(turned, block_work, block_index)
+                for image, at, _ in parts:
+                    quarter[image] += value[at]
+            if flipped is not None:  # t at 90 - theta is that turn flipped in y
+                _evaluate(flipped, block_work, block_index)
+                for _, at, flip in parts:
+                    np.copyto(spare[at], value[at][::-1])
+                    quarter[flip] += spare[at]
 
+    # Block i is the image rows [e_i, e_i+1) and their flip in y, on the work rows from
+    # 2 e_i; the innermost block is one slab that is its own flip.  A flipped add thus
+    # stays in its block, and each pixel sees the same operations for any block count.
     n = max(1, min(_usable_cpus(), size * size // _MIN_BLOCK_PIXELS))
-    blocks = [slice(size * i // n, size * (i + 1) // n) for i in range(n)]
+    edges = [size // 2 * i // n for i in range(n + 1)]
+    blocks = []
+    for a, b in zip(edges, edges[1:]):
+        parts, at = [], 0
+        for lo, hi in [(a, b), (size - b, size - a)] if b < edges[-1] else [(a, size - a)]:
+            parts.append((slice(lo, hi), slice(at, at + hi - lo), slice(size - hi, size - lo)))
+            at += hi - lo
+        blocks.append((slice(2 * a, 2 * a + at), parts))
     errors: list[BaseException] = []
 
-    def run_block(rows: slice) -> None:
+    def run_block(rows: slice, parts: list[tuple[slice, slice, slice]]) -> None:
         try:
-            accumulate(rows)
+            accumulate(rows, parts)
         except BaseException as e:  # re-raised in the caller below
             errors.append(e)
 
-    threads = [threading.Thread(target=run_block, args=(rows,)) for rows in blocks[1:]]
+    threads = [threading.Thread(target=run_block, args=block) for block in blocks[1:]]
     for thread in threads:
         thread.start()
     try:
-        accumulate(blocks[0])
+        accumulate(*blocks[0])
     finally:
         for thread in threads:
             thread.join()
     if errors:
         raise errors[0]
+    acc += np.rot90(quarter)
+    del quarter  # before the mask, which adds 9 bytes a pixel to acc, work and index: the peak
     acc *= math.pi / sino.n_angles
     acc[~inscribed_mask(size, r)] = 0.0
     return RasterImage(acc, r)

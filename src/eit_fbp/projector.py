@@ -67,6 +67,9 @@ class Sinogram:
             raise ValueError(f"sinogram data must be 2-D (slices x angles), got shape {d.shape}")
         if d.shape[1] != len(angles):
             raise ValueError(f"sinogram has {d.shape[1]} columns but {len(angles)} angles")
+        for a in angles:
+            if not math.isfinite(a):
+                raise ValueError(f"sinogram angles_deg must be finite, got {a}")
         for name in ("slice_width", "subject_radius"):
             value = getattr(self, name)
             if not 0 < value < math.inf:

@@ -245,7 +245,8 @@ def sinograms(
     return make_sinogram(data, angles, radius=radius, width=width)
 
 
-# Full sweeps, where every angle but 0 and 90 has its mirror 180 - angle
+# Full sweeps, where every angle but 0 and 90 has its mirror 180 - angle, and with an even
+# angle count its quarter turns too (but 45 and 135, which mirror each other)
 SWEEP_STEPS = [180.0 / n for n in range(1, 61)] + [0.9, 1.8, 3.6, 7.2]
 
 
@@ -428,9 +429,68 @@ class TestReconstruct:
         assert math.hypot(cx - 10.0, cy - 10.0) <= 5.0
 
 
+def sweep(n):
+    """The n-angle sweep i * (180 / n), as sweep_angles builds it."""
+    return tuple(i * (180.0 / n) for i in range(n))
+
+
+class TestGroups:
+    """Each lead angle takes up to three partners: its mirror 180 - angle, its quarter turn
+    angle + 90 and that turn flipped, 90 - angle; each matched within one ulp of 180."""
+
+    @staticmethod
+    def members(groups):
+        return sorted(k for group in groups for k in group if k is not None)
+
+    def test_every_sweep_groups_completely(self):
+        for n in range(1, 2001):
+            groups = fbp._groups(sweep(n))
+            assert self.members(groups) == list(range(n))
+            if n % 2:  # 0 and (n - 1) / 2 mirror pairs
+                assert len(groups) == 1 + (n - 1) // 2
+            elif n % 4 == 2:  # 0, 90 and groups of four
+                assert len(groups) == 2 + (n - 2) // 4
+            else:  # 0, 90, the pair (45, 135) and groups of four
+                assert len(groups) == 3 + (n - 4) // 4
+
+    def test_partners_match_their_lead(self):
+        angles = sweep(180)
+        for k, mirror, turned, flipped in fbp._groups(angles):
+            a = angles[k]
+            if mirror is not None:
+                assert abs(a + angles[mirror] - 180) <= math.ulp(180.0)
+            if turned is not None:
+                assert abs(angles[turned] - a - 90) <= math.ulp(180.0)
+            if flipped is not None:
+                assert abs(a + angles[flipped] - 90) <= math.ulp(180.0)
+
+    def test_within_one_ulp_grouped(self):
+        assert fbp._groups((10.0, 100.0, 80.0, 170.0)) == [(0, 3, 1, 2)]
+        assert fbp._groups((100.0, 10.0)) == [(1, None, 0, None)]
+        assert fbp._groups((80.0, 10.0)) == [(1, None, None, 0)]
+
+    @pytest.mark.parametrize("partner", [170.000001, 100.000001, 79.999999])
+    def test_near_partner_beyond_one_ulp_not_grouped(self, partner):
+        assert fbp._groups((10.0, partner)) == [(0, None, None, None), (1, None, None, None)]
+
+    def test_repeated_angle_joins_one_group(self):
+        # 30 groups with one of the two 150s; neither 90 pairs with the other, nor 45 with 45
+        angles = (30.0, 150.0, 90.0, 150.0, 90.0, 45.0, 45.0)
+        assert fbp._groups(angles) == [(0, 1, None, None)] + [
+            (k, None, None, None) for k in (2, 3, 4, 5, 6)
+        ]
+
+    def test_axes_are_never_quarter_partners(self):
+        # on 0 and 90 t lies on the pixel lattice, where nearest's ties follow the last bit
+        # of cos 90; 0 and 180 stay a mirror pair
+        assert fbp._groups((0.0, 90.0)) == [(0, None, None, None), (1, None, None, None)]
+        assert fbp._groups((90.0, 180.0, 0.0)) == [(0, None, None, None), (2, 1, None, None)]
+
+
 class TestMirrorPairs:
-    """An angle and its mirror 180 - angle share one lateral grid: t is computed once for
-    both, in the one ``_interpolate`` call per pair that a spy counts."""
+    """An angle, its mirror 180 - angle and their quarter turns share one lateral grid: t
+    is computed once per group, in the one ``_interpolate`` call per group that a spy
+    counts."""
 
     @pytest.fixture
     def t_computations(self, monkeypatch):
@@ -458,16 +518,21 @@ class TestMirrorPairs:
     def test_sweep_computes_t_once_per_pair(self, kind, t_computations):
         angles = sweep_angles(0.9)
         assert len(angles) == 200
-        self.check(angles, kind, 101, t_computations)  # 0, 90 and 99 pairs
+        self.check(angles, kind, 52, t_computations)  # 0, 90, (45, 135) and 49 groups of four
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_near_mirror_beyond_one_ulp_not_paired(self, kind, t_computations):
-        self.check((10.0, 170.000001), kind, 2, t_computations)
+        self.check((10.0, 170.000001, 100.000002, 79.999999), kind, 4, t_computations)
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_repeated_angle_not_paired(self, kind, t_computations):
         # 30 pairs with one of the two 150s; neither 90 pairs with the other
         self.check((30.0, 150.0, 90.0, 150.0, 90.0), kind, 4, t_computations)
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_partial_groups_match_reference(self, kind, t_computations):
+        # 10 with only its quarter turns, 20 with only its mirror and flipped turn
+        self.check((10.0, 100.0, 80.0, 20.0, 160.0, 70.0), kind, 2, t_computations)
 
 
 class TestRowBlocks:
@@ -502,20 +567,25 @@ class TestRowBlocks:
         monkeypatch.setattr(fbp, "_interpolate", spy)
         data = np.random.default_rng(7).standard_normal((45, 3))
         three = make_sinogram(data, (0.0, 61.0, 122.5), radius=37.0, width=74.0 / 45.3)
-        # a 22.5 degree sweep: 0, 90 and three mirror pairs, each partner added reversed in x
+        # a 22.5 degree sweep: 0, 90, the pair (45, 135) and one group of four, its mirror
+        # added reversed in x and its flipped quarter turn reversed in y
         data = np.random.default_rng(8).standard_normal((45, 8))
         sweep = make_sinogram(data, sweep_angles(22.5), radius=37.0, width=74.0 / 45.3)
-        for sino, calls in ((three, 3), (sweep, 5)):
-            for size in (7, 64, 257):  # 257 rows divide among none of 2, 3 or 7 blocks
+        # a 10 degree sweep: 0, 90 and four groups of four
+        data = np.random.default_rng(9).standard_normal((45, 18))
+        tens = make_sinogram(data, sweep_angles(10.0), radius=37.0, width=74.0 / 45.3)
+        for sino, calls in ((three, 3), (sweep, 4), (tens, 6)):
+            # odd grids put a row that is its own flip in the innermost block; 257 rows
+            # divide among none of 2, 3 or 5 blocks
+            for size in (10, 11, 64, 257):
                 cfg = ReconConfig(FilterKind.NONE, kind, size)
                 cpus(1)
                 single = back_project(sino, cfg).pixels
-                for n in (2, 3, 7):
+                for n in (2, 3, 5):
                     cpus(n)
                     heights.clear()
                     np.testing.assert_array_equal(back_project(sino, cfg).pixels, single)
-                    n_blocks = min(n, size * size // 16)
-                    assert len(heights) == calls * n_blocks and sum(heights) == calls * size
+                    assert len(heights) == calls * n and sum(heights) == calls * size
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_split_matches_reference(self, kind, cpus):
@@ -529,8 +599,8 @@ class TestRowBlocks:
         got = back_project(sino, cfg).pixels
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
-    # grid 81 in two blocks: rows 0-39 in the caller, rows 40-80 in a worker thread;
-    # a failure in the caller's block must still join the worker before it is raised
+    # grid 81 in two blocks: rows 0-19 and 61-80 in the caller, rows 20-60 in a worker
+    # thread; a failure in the caller's block must still join the worker before it is raised
     @pytest.mark.parametrize("failing_rows", [40, 41], ids=["caller_block", "worker_block"])
     def test_worker_failure_reaches_caller(
         self, cpus, monkeypatch, fixtures_dir, tmp_path, failing_rows

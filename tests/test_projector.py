@@ -280,6 +280,13 @@ class TestSinogram:
         with pytest.raises(ValueError, match=field):
             Sinogram(np.ones((8, 2)), (0.0, 90.0), Quantity.CONDUCTANCE, **geometry)
 
+    # a NaN angle back-projected to an all-NaN image, and an infinite one raised
+    # "math domain error"
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_angles_must_be_finite(self, angle):
+        with pytest.raises(ValueError, match="angles_deg must be finite"):
+            Sinogram(np.ones((8, 2)), (0.0, angle), Quantity.CONDUCTANCE, 1.0, 4.0)
+
     def test_data_is_read_only(self, one_perturbation):
         sino = compute_sinogram(one_perturbation, 30, Quantity.CONDUCTANCE)
         with pytest.raises(ValueError):
