@@ -242,7 +242,8 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     are zeroed, which covers every pixel with |s| > R.  Each group of angles
     (see :func:`_groups`) shares one lateral grid: the mirror is added reversed
     in x, and the two quarter turns go into a second accumulator, the flipped one
-    reversed in y, which is turned a quarter and added once at the end.  Grids of
+    reversed in y, which is turned a quarter and added once at the end; angles with no
+    quarter turns, as in a sweep of an odd number of them, get no such accumulator.  Grids of
     at least 2 * _MIN_BLOCK_PIXELS pixels are split across the usable CPUs into
     blocks of rows closed under the flip in y; the image is bit-identical for any
     number of them.
@@ -259,7 +260,10 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     ]
 
     acc = np.zeros((size, size))
-    quarter = np.zeros((size, size))  # the quarter turns, turned into acc at the end
+    # the quarter turns, turned into acc at the end; a sweep with none needs no grid for them
+    quarter = None
+    if any(turned is not None or flipped is not None for *_, turned, flipped in groups):
+        quarter = np.zeros((size, size))
     # grid^2 buffers allocated once and shared out as row views: fresh ones per
     # angle or per thread cost more in page faults and memory
     work = np.empty((3, size, size))
@@ -274,10 +278,8 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
         # broadcast and reversed operands go through copies: a ufunc reading one
         # allocates a buffer, in every thread at once
         for th, table, mirror, turned, flipped in groups:
-            np.copyto(t, xs)
-            t *= math.cos(th)
-            np.copyto(spare, y)
-            spare *= math.sin(th)
+            np.copyto(t, xs * math.cos(th))
+            np.copyto(spare, y * math.sin(th))
             t += spare
             t += r
             t -= sino.slice_width / 2.0
@@ -330,8 +332,9 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
             thread.join()
     if errors:
         raise errors[0]
-    acc += np.rot90(quarter)
-    del quarter  # before the mask, which adds 9 bytes a pixel to acc, work and index: the peak
+    if quarter is not None:
+        acc += np.rot90(quarter)
+        del quarter  # before the mask, which adds 9 bytes a pixel to acc, work and index: the peak
     acc *= math.pi / sino.n_angles
     acc[~inscribed_mask(size, r)] = 0.0
     return RasterImage(acc, r)

@@ -575,9 +575,9 @@ class TestRowBlocks:
         data = np.random.default_rng(9).standard_normal((45, 18))
         tens = make_sinogram(data, sweep_angles(10.0), radius=37.0, width=74.0 / 45.3)
         for sino, calls in ((three, 3), (sweep, 4), (tens, 6)):
-            # odd grids put a row that is its own flip in the innermost block; 257 rows
-            # divide among none of 2, 3 or 5 blocks
-            for size in (10, 11, 64, 257):
+            # odd grids put a row that is its own flip in the innermost block; grid 7 has
+            # pixels for only 3 blocks; 257 rows divide among none of 2, 3 or 5 blocks
+            for size in (7, 10, 11, 64, 257):
                 cfg = ReconConfig(FilterKind.NONE, kind, size)
                 cpus(1)
                 single = back_project(sino, cfg).pixels
@@ -585,7 +585,8 @@ class TestRowBlocks:
                     cpus(n)
                     heights.clear()
                     np.testing.assert_array_equal(back_project(sino, cfg).pixels, single)
-                    assert len(heights) == calls * n and sum(heights) == calls * size
+                    n_blocks = min(n, size * size // 16)
+                    assert len(heights) == calls * n_blocks and sum(heights) == calls * size
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_split_matches_reference(self, kind, cpus):
@@ -639,6 +640,30 @@ class TestRowBlocks:
         size = 400
         data = np.random.default_rng(3).standard_normal((40, 4))
         sino = make_sinogram(data, (0.0, 45.0, 90.0, 135.0), width=2.0)
+        cfg = ReconConfig(FilterKind.RAM_LAK, kind, size)
+        reconstruct(sino, cfg)  # first-call allocations are not the recon's
+
+        def peak(n):
+            cpus(n)
+            tracemalloc.start()
+            try:
+                reconstruct(sino, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single, split = peak(1), peak(4)
+        assert split <= single + 3 * 4096  # 4 KiB per extra thread
+        assert split <= 49 * size * size + 48 * 1024
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_memory_does_not_grow_with_quarter_turns(self, kind, cpus):
+        # one group of four: the same bounds as above hold with the quarter accumulator,
+        # the flip in y and the final fold
+        size = 400
+        data = np.random.default_rng(3).standard_normal((40, 4))
+        sino = make_sinogram(data, (10.0, 80.0, 100.0, 170.0), width=2.0)
+        assert fbp._groups(sino.angles_deg) == [(0, 3, 2, 1)]
         cfg = ReconConfig(FilterKind.RAM_LAK, kind, size)
         reconstruct(sino, cfg)  # first-call allocations are not the recon's
 
