@@ -10,10 +10,12 @@ share one lateral grid in groups of up to four: t at 180 - theta is t at theta
 mirrored in x, t at theta + 90 is t at theta turned a quarter, and t at
 90 - theta is that turn flipped in y.  So t is located once per group and every
 member's table is evaluated on it; the quarter turns gather in a second
-accumulator that is turned into the image once, at the end.  0 and 90 are never
-quarter partners, since there t lies on the pixel lattice and nearest's half-way
-ties follow the last bit of cos 90.  Sharing changes the order of the sums, so
-images match earlier releases to rounding level rather than bit for bit.
+accumulator that is turned into the image once, at the end.  Partners are looked
+for at their fixed offsets in a sweep ``i * step``; other angle lists
+back-project the same but share less.  0 and 90 are never quarter partners,
+since there t lies on the pixel lattice and nearest's half-way ties follow the
+last bit of cos 90.  Sharing changes the order of the sums, so images match
+earlier releases to rounding level rather than bit for bit.
 
 Large grids are back-projected in row blocks, one thread per usable CPU, in
 buffers the caller allocates once, so memory does not grow with the CPU count.
@@ -29,7 +31,6 @@ import enum
 import math
 import os
 import threading
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -198,40 +199,32 @@ def _usable_cpus() -> int:
 def _groups(angles_deg: tuple[float, ...]) -> list[tuple[int, int | None, int | None, int | None]]:
     """Every lead angle's index in sinogram order, each with the indices of its partners
     (or None): the mirror 180 - angle, the quarter turn angle + 90 and the flipped quarter
-    turn 90 - angle.  The lowest free angle leads, so each angle joins exactly one group.
-
-    A partner matches within one ulp of 180, as ``i * step`` sweeps do, and never equals
-    its lead.  Multiples of 90 take no part in quarter turns: t there lies on the pixel
-    lattice, where nearest's half-way ties are decided by the last bit of cos 90.
+    turn 90 - angle, looked for at index i's offsets in a sweep ``i * step`` of n angles:
+    n - i, i + n/2 and n/2 - i.  A partner must be free, match its lead within one ulp of
+    180 and not equal it, so each angle joins exactly one group.  Multiples of 90 take no
+    part in quarter turns: t there lies on the pixel lattice, where nearest's half-way ties
+    are decided by the last bit of cos 90.
     """
-    tol = math.ulp(180.0)
-    free: dict[float, list[int]] = {}  # each angle's unclaimed indices, lowest last
-    for k in reversed(range(len(angles_deg))):
-        free.setdefault(angles_deg[k], []).append(k)
-    angles = sorted(free)
-    off_axis = [a for a in angles if a % 90]
+    n, half, tol = len(angles_deg), len(angles_deg) // 2, math.ulp(180.0)
+    free = [True] * n
 
-    def claim(candidates: list[float], lead: float, sign: float, total: float) -> int | None:
-        """Claim a free index whose angle a has a + sign * lead within tol of total."""
-        guess = total - sign * lead
-        lo, hi = bisect_left(candidates, guess - 2 * tol), bisect_right(candidates, guess + 2 * tol)
-        for a in candidates[lo:hi]:
-            if free[a] and a != lead and abs(a + sign * lead - total) <= tol:
-                return free[a].pop()
+    def claim(k: int, lead: float, sign: float, total: float) -> int | None:
+        """Claim index k if its angle a, free and not lead, has a + sign * lead near total."""
+        if 0 <= k < n and free[k] and angles_deg[k] != lead:
+            a = angles_deg[k]
+            if abs(a + sign * lead - total) <= tol and (total == 180 or a % 90 and lead % 90):
+                free[k] = False
+                return k
         return None
 
     groups = []
-    for lead in angles:
-        while free[lead]:
-            k = free[lead].pop()
-            mirror = claim(angles, lead, 1.0, 180.0)
-            if lead % 90:
-                turned = claim(off_axis, lead, -1.0, 90.0)
-                flipped = claim(off_axis, lead, 1.0, 90.0)
-            else:
-                turned = flipped = None
-            groups.append((k, mirror, turned, flipped))
-    return sorted(groups)
+    for i, lead in enumerate(angles_deg):
+        if free[i]:
+            free[i] = False
+            # an odd sweep has no quarter turns: its angles at the last two offsets miss by step / 2
+            offsets = ((n - i, 1.0, 180.0), (i + half, -1.0, 90.0), (half - i, 1.0, 90.0))
+            groups.append((i, *(claim(k, lead, sign, total) for k, sign, total in offsets)))
+    return groups
 
 
 def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
@@ -240,7 +233,8 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     Pixel centers span [-R, R]^2; each angle contributes its sampled column
     times d_theta = pi / n_angles, and pixels outside the inscribed circle
     are zeroed, which covers every pixel with |s| > R.  Each group of angles
-    (see :func:`_groups`) shares one lateral grid: the mirror is added reversed
+    (see :func:`_groups`: a sweep's partners sit at fixed offsets, and other angle
+    lists share less) shares one lateral grid: the mirror is added reversed
     in x, and the two quarter turns go into a second accumulator, the flipped one
     reversed in y, which is turned a quarter and added once at the end; angles with no
     quarter turns, as in a sweep of an odd number of them, get no such accumulator.  Grids of

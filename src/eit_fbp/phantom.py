@@ -9,6 +9,7 @@ it for every sinogram and :func:`strip_area` is its scalar view.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ class Phantom:
 def validate(phantom: Phantom) -> Phantom:
     """Check every phantom invariant, returning the phantom unchanged if valid.
 
-    Raises NonPositiveDimension (also for NaN or infinite numbers),
+    Raises NonPositiveDimension (also for NaN, infinite or absurd magnitudes),
     PerturbationOutsideSubject or OverlappingPerturbations; the error names
     the offending circle index where one applies.
     """
@@ -121,12 +122,15 @@ def validate(phantom: Phantom) -> Phantom:
 
 
 def _check(label: str, value: float, positive: bool, index: int | None = None) -> None:
-    """Raise NonPositiveDimension unless ``value`` is finite and, if ``positive``, > 0."""
+    """Raise NonPositiveDimension unless ``value`` is finite and, if ``positive``, > 0 with a
+    square (and so a reciprocal) that is a finite normal float."""
     # NaN compares False with everything, so a plain <= 0 test would pass it
     if not math.isfinite(value):
         raise NonPositiveDimension(f"{label} must be finite, got {value}", index)
     if positive and value <= 0:
         raise NonPositiveDimension(f"{label} must be > 0, got {value}", index)
+    if positive and not sys.float_info.min <= value * value < math.inf:
+        raise NonPositiveDimension(f"{label} must lie in 1.5e-154 .. 1.3e154, got {value}", index)
 
 
 def rotate_center(p: Point, theta_deg: float) -> Point:

@@ -138,6 +138,6 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
             doc["results"].append(entry)
 
     if "metrics_json" in emit:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
         write_atomic(out_dir / "metrics.json", text.encode("ascii"))
     return reports

@@ -214,7 +214,8 @@ class TestParseConfig:
         [
             (lambda d: d.update(angle_step_deg=1e-4), "1.8e\\+06 angles"),
             (lambda d: d["phantom"].update(slice_width_mm=1e-4), "slice_width_mm 0.0001"),
-            (lambda d: d["phantom"].update(subject_radius_mm=1e308), "inf slices"),
+            # every number within the phantom rules, but 2R / w is 2e150 slices
+            (lambda d: d["phantom"].update(subject_radius_mm=1e150), "2e\\+150 slices"),
             (lambda d: d["recon"][0].update(grid_size=100000), "grid_size 100000"),
             # one angle keeps grid^2 x angles under the sample cap; the pixel cap stops it
             (
@@ -496,6 +497,15 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match="grid_size 64"):
             parse_config_dict(doc)
 
+    def test_non_finite_metric_is_not_written(self, tmp_path, monkeypatch):
+        # json writes a bare NaN by default, which is not JSON
+        nan = eit_fbp.pipeline.MetricsReport(float("nan"), 0.0, float("nan"))
+        monkeypatch.setattr(eit_fbp.pipeline, "compare", lambda image, target: nan)
+        with pytest.raises(ValueError, match="JSON"):
+            run_pipeline(parse_config_dict(base_config(output_dir=str(tmp_path / "out"))))
+        assert not (tmp_path / "out" / "metrics.json").exists()
+        assert (tmp_path / "out" / "INCOMPLETE").exists()
+
     def test_emit_subset_writes_only_requested(self, tmp_path):
         doc = base_config(emit=["metrics_json"], output_dir=str(tmp_path / "out"))
         run_pipeline(parse_config_dict(doc))
@@ -539,6 +549,57 @@ class TestCli:
         assert main([command, str(path)]) == 2
         assert f"{key} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [1e-170, 1e200, 1e-320])
+    @pytest.mark.parametrize("key", [*PHANTOM_KEYS, "radius_mm", "resistivity_ohm_m"])
+    def test_absurd_magnitude_rejected(self, tmp_path, capsys, key, value):
+        # a size or resistivity whose square or reciprocal is no finite normal float
+        doc = base_config()
+        circle = key in CIRCLE_KEYS
+        (doc["phantom"]["perturbations"][0] if circle else doc["phantom"])[key] = value
+        path = tmp_path / "absurd.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        field = f"perturbation 0: {CIRCLE_KEYS[key]}" if circle else PHANTOM_KEYS[key]
+        assert f"{field} must lie in 1.5e-154 .. 1.3e154, got {value}" in capsys.readouterr().err
+
+    # each ran to exit 0: all-zero sinograms with rmse=0 psnr=inf, or rmse=nan on every line
+    @pytest.mark.parametrize(
+        "numbers",
+        [
+            {"subject_radius_mm": 1e-170, "slice_width_mm": 1e-171},
+            {"depth_mm": 1e-320},
+            {"subject_resistivity_ohm_m": 1e-320},
+        ],
+        ids=["radius_and_width", "depth", "resistivity"],
+    )
+    def test_absurd_magnitude_not_run(self, tmp_path, capsys, numbers):
+        doc = base_config(output_dir=str(tmp_path / "out"))
+        doc["phantom"].update(numbers, perturbations=[])
+        path = tmp_path / "absurd.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        assert f"{PHANTOM_KEYS[next(iter(numbers))]} must lie in" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # every number is in range, but each strip's 1e299 mm^2 over 1e-150 ohm m overflows;
+    # numpy's overflow warning is an error in this suite, so it is let through here
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_sinogram_fails_the_run(self, tmp_path, capsys):
+        doc = base_config(output_dir=str(tmp_path / "out"))
+        doc["phantom"].update(
+            subject_radius_mm=1e150,
+            slice_width_mm=1e149,
+            subject_resistivity_ohm_m=1e-150,
+            perturbations=[],
+        )
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 3
+        assert "sinogram data must be finite, got inf" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert "sinogram data must be finite, got inf" in (out / "INCOMPLETE").read_text()
+        assert not (out / "metrics.json").exists()
 
     @pytest.mark.parametrize(
         "key, value, fragment",

@@ -254,6 +254,8 @@ class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(sino=sinograms(), size=st.integers(2, 70), kind=st.sampled_from(list(InterpKind)))
     def test_back_project_matches_reference(self, sino, size, kind):
+        # any angle list, a sweep or not, joins each index to exactly one group
+        assert members(fbp._groups(sino.angles_deg)) == list(range(sino.n_angles))
         cfg = ReconConfig(FilterKind.NONE, kind, size)
         expected = reference_back_project(sino, cfg)
         got = back_project(sino, cfg).pixels
@@ -434,18 +436,20 @@ def sweep(n):
     return tuple(i * (180.0 / n) for i in range(n))
 
 
-class TestGroups:
-    """Each lead angle takes up to three partners: its mirror 180 - angle, its quarter turn
-    angle + 90 and that turn flipped, 90 - angle; each matched within one ulp of 180."""
+def members(groups):
+    """Every index that ``groups`` holds, in order, once for each group it is in."""
+    return sorted(k for group in groups for k in group if k is not None)
 
-    @staticmethod
-    def members(groups):
-        return sorted(k for group in groups for k in group if k is not None)
+
+class TestGroups:
+    """Each lead angle takes up to three partners, at its offsets in a sweep: its mirror
+    180 - angle, its quarter turn angle + 90 and that turn flipped, 90 - angle; each matched
+    within one ulp of 180."""
 
     def test_every_sweep_groups_completely(self):
         for n in range(1, 2001):
             groups = fbp._groups(sweep(n))
-            assert self.members(groups) == list(range(n))
+            assert members(groups) == list(range(n))
             if n % 2:  # 0 and (n - 1) / 2 mirror pairs
                 assert len(groups) == 1 + (n - 1) // 2
             elif n % 4 == 2:  # 0, 90 and groups of four
@@ -464,33 +468,57 @@ class TestGroups:
             if flipped is not None:
                 assert abs(a + angles[flipped] - 90) <= math.ulp(180.0)
 
+    # in the 10 degree sweep, 10 (index 1) has its mirror 170 at 17, its quarter turn 100
+    # at 10 and its flipped turn 80 at 8
+    TENS = sweep_angles(10.0)
+
     def test_within_one_ulp_grouped(self):
-        assert fbp._groups((10.0, 100.0, 80.0, 170.0)) == [(0, 3, 1, 2)]
-        assert fbp._groups((100.0, 10.0)) == [(1, None, 0, None)]
-        assert fbp._groups((80.0, 10.0)) == [(1, None, None, 0)]
+        for partner in (17, 10, 8):
+            for direction in (-math.inf, math.inf):
+                angles = list(self.TENS)
+                angles[partner] = math.nextafter(angles[partner], direction)
+                groups = fbp._groups(tuple(angles))
+                assert (1, 17, 10, 8) in groups
+                assert groups == fbp._groups(self.TENS)
 
     @pytest.mark.parametrize("partner", [170.000001, 100.000001, 79.999999])
     def test_near_partner_beyond_one_ulp_not_grouped(self, partner):
-        assert fbp._groups((10.0, partner)) == [(0, None, None, None), (1, None, None, None)]
+        k = {170.000001: 17, 100.000001: 10, 79.999999: 8}[partner]
+        angles = list(self.TENS)
+        angles[k] = partner
+        groups = fbp._groups(tuple(angles))
+        assert (1, *(None if j == k else j for j in (17, 10, 8))) in groups
+        assert (k, None, None, None) in groups
+        assert members(groups) == list(range(18))
 
     def test_repeated_angle_joins_one_group(self):
-        # 30 groups with one of the two 150s; neither 90 pairs with the other, nor 45 with 45
-        angles = (30.0, 150.0, 90.0, 150.0, 90.0, 45.0, 45.0)
-        assert fbp._groups(angles) == [(0, 1, None, None)] + [
-            (k, None, None, None) for k in (2, 3, 4, 5, 6)
-        ]
+        # the two 45s sit at each other's flipped offset and the two 90s at each other's
+        # mirror offset, but no angle is grouped with its own repeat
+        angles = (30.0, 45.0, 45.0, 90.0, 90.0, 150.0, 150.0)
+        groups = fbp._groups(angles)
+        assert members(groups) == list(range(len(angles)))
+        for group in groups:
+            grouped = [angles[k] for k in group if k is not None]
+            assert len(set(grouped)) == len(grouped)
 
     def test_axes_are_never_quarter_partners(self):
         # on 0 and 90 t lies on the pixel lattice, where nearest's ties follow the last bit
         # of cos 90; 0 and 180 stay a mirror pair
-        assert fbp._groups((0.0, 90.0)) == [(0, None, None, None), (1, None, None, None)]
-        assert fbp._groups((90.0, 180.0, 0.0)) == [(0, None, None, None), (2, 1, None, None)]
+        assert fbp._groups(sweep_angles(90.0)) == [(0, None, None, None), (1, None, None, None)]
+        assert fbp._groups(sweep_angles(45.0)) == [
+            (0, None, None, None),
+            (1, 3, None, None),
+            (2, None, None, None),
+        ]
+        # 90 is 5e-15's quarter turn within one ulp, but an axis, so it is not taken
+        assert fbp._groups((5e-15, 90.0)) == [(0, None, None, None), (1, None, None, None)]
+        assert fbp._groups((90.0, 180.0, 0.0)) == [(0, None, None, None), (1, 2, None, None)]
 
 
 class TestMirrorPairs:
-    """An angle, its mirror 180 - angle and their quarter turns share one lateral grid: t
-    is computed once per group, in the one ``_interpolate`` call per group that a spy
-    counts."""
+    """Each whole group, an angle with its mirror 180 - angle and their quarter turns,
+    shares one lateral grid: t is computed once per group, in the one ``_interpolate`` call
+    per group that a spy counts."""
 
     @pytest.fixture
     def t_computations(self, monkeypatch):
@@ -522,17 +550,27 @@ class TestMirrorPairs:
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_near_mirror_beyond_one_ulp_not_paired(self, kind, t_computations):
-        self.check((10.0, 170.000001, 100.000002, 79.999999), kind, 4, t_computations)
+        # the 22.5 degree sweep is 0, 90, the pair (45, 135) and one group of four; moving
+        # 22.5's three partners beyond one ulp leaves 0, 90, (45, 135) and four lone angles
+        angles = list(sweep_angles(22.5))
+        angles[7], angles[5], angles[3] = 157.500001, 112.500002, 67.499999
+        self.check(angles, kind, 7, t_computations)
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_repeated_angle_not_paired(self, kind, t_computations):
-        # 30 pairs with one of the two 150s; neither 90 pairs with the other
-        self.check((30.0, 150.0, 90.0, 150.0, 90.0), kind, 4, t_computations)
+        angles = (30.0, 45.0, 45.0, 90.0, 90.0, 150.0, 150.0)  # as in TestGroups
+        groups = fbp._groups(angles)
+        assert members(groups) == list(range(len(angles)))
+        self.check(angles, kind, len(groups), t_computations)
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_partial_groups_match_reference(self, kind, t_computations):
-        # 10 with only its quarter turns, 20 with only its mirror and flipped turn
-        self.check((10.0, 100.0, 80.0, 20.0, 160.0, 70.0), kind, 2, t_computations)
+        # 22.5's mirror moved beyond one ulp: 22.5 keeps only its quarter turns, so the
+        # 22.5 degree sweep's group of four has three members and 157.500001 is alone
+        angles = list(sweep_angles(22.5))
+        angles[7] = 157.500001
+        assert (1, None, 5, 3) in fbp._groups(tuple(angles))
+        self.check(angles, kind, 5, t_computations)
 
 
 class TestRowBlocks:
@@ -636,14 +674,14 @@ class TestRowBlocks:
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_memory_does_not_grow_with_blocks(self, kind, cpus):
         # config.MAX_RECON_PIXELS is sized from 49 bytes a pixel; the rest, a few
-        # per-thread KiB and O(grid) vectors, does not grow with grid^2
+        # per-thread KiB and O(grid) vectors, does not grow with grid^2.  Mirror pairs
+        # alone, then the 22.5 degree sweep, whose group (1, 7, 5, 3) brings the quarter
+        # accumulator, the flip in y and the final fold
         size = 400
-        data = np.random.default_rng(3).standard_normal((40, 4))
-        sino = make_sinogram(data, (0.0, 45.0, 90.0, 135.0), width=2.0)
         cfg = ReconConfig(FilterKind.RAM_LAK, kind, size)
-        reconstruct(sino, cfg)  # first-call allocations are not the recon's
+        assert (1, 7, 5, 3) in fbp._groups(sweep_angles(22.5))
 
-        def peak(n):
+        def peak(sino, n):
             cpus(n)
             tracemalloc.start()
             try:
@@ -652,30 +690,10 @@ class TestRowBlocks:
             finally:
                 tracemalloc.stop()
 
-        single, split = peak(1), peak(4)
-        assert split <= single + 3 * 4096  # 4 KiB per extra thread
-        assert split <= 49 * size * size + 48 * 1024
-
-    @pytest.mark.parametrize("kind", list(InterpKind))
-    def test_memory_does_not_grow_with_quarter_turns(self, kind, cpus):
-        # one group of four: the same bounds as above hold with the quarter accumulator,
-        # the flip in y and the final fold
-        size = 400
-        data = np.random.default_rng(3).standard_normal((40, 4))
-        sino = make_sinogram(data, (10.0, 80.0, 100.0, 170.0), width=2.0)
-        assert fbp._groups(sino.angles_deg) == [(0, 3, 2, 1)]
-        cfg = ReconConfig(FilterKind.RAM_LAK, kind, size)
-        reconstruct(sino, cfg)  # first-call allocations are not the recon's
-
-        def peak(n):
-            cpus(n)
-            tracemalloc.start()
-            try:
-                reconstruct(sino, cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        single, split = peak(1), peak(4)
-        assert split <= single + 3 * 4096  # 4 KiB per extra thread
-        assert split <= 49 * size * size + 48 * 1024
+        for angles in ((0.0, 45.0, 90.0, 135.0), sweep_angles(22.5)):
+            data = np.random.default_rng(3).standard_normal((40, len(angles)))
+            sino = make_sinogram(data, angles, width=2.0)
+            reconstruct(sino, cfg)  # first-call allocations are not the recon's
+            single, split = peak(sino, 1), peak(sino, 4)
+            assert split <= single + 3 * 4096  # 4 KiB per extra thread
+            assert split <= 49 * size * size + 48 * 1024

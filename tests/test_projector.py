@@ -287,6 +287,14 @@ class TestSinogram:
         with pytest.raises(ValueError, match="angles_deg must be finite"):
             Sinogram(np.ones((8, 2)), (0.0, angle), Quantity.CONDUCTANCE, 1.0, 4.0)
 
+    # a NaN or infinite sinogram ran to exit 0, with rmse=nan or psnr=inf on every line
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_data_must_be_finite(self, value):
+        data = np.ones((8, 2))
+        data[3, 1] = value
+        with pytest.raises(ValueError, match="data must be finite"):
+            Sinogram(data, (0.0, 90.0), Quantity.CONDUCTANCE, 1.0, 4.0)
+
     def test_data_is_read_only(self, one_perturbation):
         sino = compute_sinogram(one_perturbation, 30, Quantity.CONDUCTANCE)
         with pytest.raises(ValueError):
