@@ -671,17 +671,17 @@ class TestRowBlocks:
         assert "injected block failure" in (tmp_path / "out" / "INCOMPLETE").read_text()
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("kind", list(InterpKind))
-    def test_memory_does_not_grow_with_blocks(self, kind, cpus):
+    @staticmethod
+    def check_memory(angles, kind, cpus):
         # config.MAX_RECON_PIXELS is sized from 49 bytes a pixel; the rest, a few
-        # per-thread KiB and O(grid) vectors, does not grow with grid^2.  Mirror pairs
-        # alone, then the 22.5 degree sweep, whose group (1, 7, 5, 3) brings the quarter
-        # accumulator, the flip in y and the final fold
+        # per-thread KiB and O(grid) vectors, does not grow with grid^2
         size = 400
+        data = np.random.default_rng(3).standard_normal((40, len(angles)))
+        sino = make_sinogram(data, angles, width=2.0)
         cfg = ReconConfig(FilterKind.RAM_LAK, kind, size)
-        assert (1, 7, 5, 3) in fbp._groups(sweep_angles(22.5))
+        reconstruct(sino, cfg)  # first-call allocations are not the recon's
 
-        def peak(sino, n):
+        def peak(n):
             cpus(n)
             tracemalloc.start()
             try:
@@ -690,10 +690,18 @@ class TestRowBlocks:
             finally:
                 tracemalloc.stop()
 
-        for angles in ((0.0, 45.0, 90.0, 135.0), sweep_angles(22.5)):
-            data = np.random.default_rng(3).standard_normal((40, len(angles)))
-            sino = make_sinogram(data, angles, width=2.0)
-            reconstruct(sino, cfg)  # first-call allocations are not the recon's
-            single, split = peak(sino, 1), peak(sino, 4)
-            assert split <= single + 3 * 4096  # 4 KiB per extra thread
-            assert split <= 49 * size * size + 48 * 1024
+        single, split = peak(1), peak(4)
+        assert split <= single + 3 * 4096  # 4 KiB per extra thread
+        assert split <= 49 * size * size + 48 * 1024
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_memory_does_not_grow_with_blocks(self, kind, cpus):
+        self.check_memory((0.0, 45.0, 90.0, 135.0), kind, cpus)
+
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_memory_does_not_grow_with_quarter_turns(self, kind, cpus):
+        # the 22.5 degree sweep's group of four: the same bounds hold with the quarter
+        # accumulator, the flip in y and the final fold
+        angles = sweep_angles(22.5)
+        assert (1, 7, 5, 3) in fbp._groups(angles)
+        self.check_memory(angles, kind, cpus)
