@@ -32,6 +32,12 @@ EMIT_KINDS = ("sinogram_csv", "target_image", "recon_images", "metrics_json")
 MAX_SINOGRAM_VALUES = 10**7  # n_slices x n_angles
 MAX_BACKPROJECTION_SAMPLES = 10**9  # grid_size^2 x n_angles, per recon entry
 MAX_RECON_PIXELS = 4 * 10**7  # grid_size^2, per recon entry
+# Bound on any strip value, and on the strip sums the projector divides by
+# depth_mm or the strip area: far above every config in fixtures/ and the
+# benchmark (at most 4e7), and far enough below the float range that the
+# filtered and back-projected images and compare's squared errors stay finite
+# (strip values near 1.6e153 overflow compare at grid 80).
+MAX_STRIP_VALUE = 1e100
 
 
 # JSON key -> field of the object it sets, in the order the keys are checked
@@ -143,6 +149,8 @@ def parse_config_dict(data: object) -> RunConfig:
             f"slices x {n_angles:.3g} angles, more than {MAX_SINOGRAM_VALUES:.0e} sinogram values"
         )
 
+    _check_strip_values(phantom, quantities)
+
     return RunConfig(
         phantom=phantom,
         angle_step=float(angle_step),
@@ -151,6 +159,34 @@ def parse_config_dict(data: object) -> RunConfig:
         output_dir=output_dir,
         emit=emit,
     )
+
+
+def _check_strip_values(phantom: Phantom, quantities: tuple[Quantity, ...]) -> None:
+    """Reject a phantom whose strip values could overflow, naming its keys.
+
+    A strip's area is below 2R x 2w (the last strip absorbs the remainder, so
+    it is narrower than 2w), so it conducts at most 4 R w / min(rho) per mm of
+    depth; its conductance is that over depth_mm, and its average
+    conductivity is at most 1 / min(rho).
+    """
+    resistivities = {"subject_resistivity_ohm_m": phantom.subject_resistivity}
+    for i, c in enumerate(phantom.perturbations):
+        resistivities[f"perturbations[{i}].resistivity_ohm_m"] = c.resistivity
+    rho_key = min(resistivities, key=resistivities.__getitem__)
+    rho = resistivities[rho_key]
+    named = {"subject_radius_mm": phantom.subject_radius, "slice_width_mm": phantom.slice_width}
+    named[rho_key] = rho
+    largest = 4.0 * phantom.subject_radius * phantom.slice_width / rho
+    if Quantity.CONDUCTANCE in quantities:
+        named["depth_mm"] = phantom.depth
+        largest = max(largest, largest / phantom.depth)
+    if Quantity.AVG_CONDUCTIVITY in quantities:
+        largest = max(largest, 1.0 / rho)
+    if not largest <= MAX_STRIP_VALUE:
+        raise ValidationError(
+            f"{', '.join(f'{key} {value:g}' for key, value in named.items())} give strip "
+            f"values up to {largest:.3g}, more than {MAX_STRIP_VALUE:.0e}"
+        )
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -22,6 +22,8 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, config_to_dict
 from .fbp import ReconConfig, reconstruct
 from .imageio import write_atomic, write_pgm, write_png
@@ -45,10 +47,83 @@ def recon_stem(rc: ReconConfig, recon: tuple[ReconConfig, ...]) -> str:
 
 
 def sinogram_csv_text(sino: Sinogram) -> str:
-    """Angles as the header row, then one full-precision row per slice."""
+    """Angles as the header row, then one row of ``%.17e`` values per slice.
+
+    Blocks of ``_CSV_BLOCK_ROWS`` rows go through :func:`_e17_rows`; a row with
+    a value outside [1e-5, 1e17) goes through ``%``, which writes the same bytes.
+    """
     header = ",".join(repr(a) for a in sino.angles_deg) + "\n"
     row = ",".join(["%.17e"] * sino.n_angles) + "\n"
-    return "".join([header, *(row % tuple(values) for values in sino.data)])
+    in_range = ((sino.data >= 1e-5) & (sino.data < 1e17)).all(axis=1) & (sino.n_angles > 0)
+    parts = [header]
+    for start in range(0, sino.n_slices, _CSV_BLOCK_ROWS):
+        block = sino.data[start : start + _CSV_BLOCK_ROWS]
+        fast = in_range[start : start + _CSV_BLOCK_ROWS]
+        if fast.all():
+            parts.append(_e17_rows(block))
+        else:
+            parts += [_e17_rows(v[None]) if f else row % tuple(v) for v, f in zip(block, fast)]
+    return "".join(parts)
+
+
+# rows encoded at once: the temporaries stay far below the text itself
+_CSV_BLOCK_ROWS = 16
+_POW10 = 10.0 ** np.arange(23)  # every power up to 1e22 is an exact double
+
+
+def _dekker_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as hi + lo, each with at most 26 significant bits."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _dekker_split(_POW10)
+
+
+def _scaled_digits(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """v * 10**(17 - k) rounded half to even, exactly: Dekker's two-product
+    gives the product as hi + lo, hi an integer (>= 2**53) and lo its error."""
+    m = 17 - k
+    vh, vl = _dekker_split(v)
+    hi = v * _POW10[m]
+    lo = vh * _POW10_HI[m] - hi
+    lo += vh * _POW10_LO[m]
+    lo += vl * _POW10_HI[m]
+    lo += vl * _POW10_LO[m]
+    return hi.astype(np.int64) + np.rint(lo, out=lo).astype(np.int64)
+
+
+def _e17_rows(block: np.ndarray) -> str:
+    """CSV rows of ``block``, every value in [1e-5, 1e17), byte for byte as
+    ``%.17e`` writes them: the correctly rounded 18 digits, ties to even.
+
+    Each value is one 24-byte record ``d.ddddddddddddddddde±XX`` plus its
+    separator.  k starts at floor(log10 v) and moves by one wherever the
+    rounded digits come out 19 or 17 long.
+    """
+    v = block.ravel()
+    # off by one only within a few ulps of a power of ten, so n fits in int64
+    k = np.clip(np.floor(np.log10(v)), -5, 16).astype(np.int64)
+    n = _scaled_digits(v, k)
+    while (step := (n >= 10**18).astype(np.int64) - (n < 10**17)).any():
+        k += step
+        n = _scaled_digits(v, k)
+    record = np.empty((24, v.size), np.uint8)  # one column per value
+    for i in range(18, 1, -1):
+        q = n // 10
+        record[i] = n - q * 10
+        n = q
+    record[0] = n
+    record[21] = np.abs(k) // 10
+    record[22] = np.abs(k) % 10
+    record += ord("0")
+    record[1] = ord(".")
+    record[19] = ord("e")
+    record[20] = np.where(k < 0, ord("-"), ord("+"))
+    record[23] = ord(",")
+    record[23, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
+    return str(record.T.tobytes(), "ascii")
 
 
 def _json_safe(value: float) -> float | str:

@@ -583,8 +583,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     # every number is in range, but each strip's 1e299 mm^2 over 1e-150 ohm m overflows;
-    # numpy's overflow warning is an error in this suite, so it is let through here
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # the strip-value bound rejects it before anything is computed
     def test_non_finite_sinogram_fails_the_run(self, tmp_path, capsys):
         doc = base_config(output_dir=str(tmp_path / "out"))
         doc["phantom"].update(
@@ -595,11 +594,55 @@ class TestCli:
         )
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(doc))
-        assert main(["run", str(path)]) == 3
-        assert "sinogram data must be finite, got inf" in capsys.readouterr().err
-        out = tmp_path / "out"
-        assert "sinogram data must be finite, got inf" in (out / "INCOMPLETE").read_text()
-        assert not (out / "metrics.json").exists()
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert (
+                "subject_radius_mm 1e+150, slice_width_mm 1e+149, subject_resistivity_ohm_m "
+                "1e-150 give strip values up to inf, more than 1e+100"
+            ) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "numbers, quantities, named",
+        [
+            # 4 R w / rho: the smallest resistivity is the perturbation's
+            (
+                {"subject_radius_mm": 1e52, "slice_width_mm": 1e47},
+                ["avg_conductivity"],
+                "subject_radius_mm 1e+52, slice_width_mm 1e+47, "
+                "perturbations[0].resistivity_ohm_m 0.0002 give",
+            ),
+            # the conductance is that sum over depth_mm
+            (
+                {"depth_mm": 1e-96},
+                ["conductance"],
+                "perturbations[0].resistivity_ohm_m 0.0002, depth_mm 1e-96 give",
+            ),
+            # an average conductivity is at most 1 / min(rho)
+            (
+                {"subject_resistivity_ohm_m": 1e-101},
+                ["avg_conductivity"],
+                "subject_resistivity_ohm_m 1e-101 give",
+            ),
+        ],
+        ids=["radius_and_width", "depth", "resistivity"],
+    )
+    def test_strip_values_over_bound_rejected(self, tmp_path, capsys, numbers, quantities, named):
+        doc = base_config(quantities=quantities)
+        doc["phantom"].update(numbers)
+        path = tmp_path / "absurd.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_depth_bounds_only_the_conductance(self):
+        doc = base_config(quantities=["avg_conductivity"])
+        doc["phantom"]["depth_mm"] = 1e-96
+        assert parse_config_dict(doc).phantom.depth == 1e-96
+        doc["quantities"].append("conductance")
+        with pytest.raises(ValidationError, match="depth_mm 1e-96 give strip values up to 8e"):
+            parse_config_dict(doc)
 
     @pytest.mark.parametrize(
         "key, value, fragment",
