@@ -34,9 +34,10 @@ MAX_BACKPROJECTION_SAMPLES = 10**9  # grid_size^2 x n_angles, per recon entry
 MAX_RECON_PIXELS = 4 * 10**7  # grid_size^2, per recon entry
 # Bound on any strip value, and on the strip sums the projector divides by
 # depth_mm or the strip area: far above every config in fixtures/ and the
-# benchmark (at most 4e7), and far enough below the float range that the
-# filtered and back-projected images and compare's squared errors stay finite
-# (strip values near 1.6e153 overflow compare at grid 80).
+# benchmark (bound at most 1.6e8, values at most 4e7), and far enough below
+# the float range that the filtered and back-projected images and compare's
+# squared errors stay finite (a phantom bounded at 1.6e153 overflows compare
+# at grid 80).
 MAX_STRIP_VALUE = 1e100
 
 
@@ -165,9 +166,9 @@ def _check_strip_values(phantom: Phantom, quantities: tuple[Quantity, ...]) -> N
     """Reject a phantom whose strip values could overflow, naming its keys.
 
     A strip's area is below 2R x 2w (the last strip absorbs the remainder, so
-    it is narrower than 2w), so it conducts at most 4 R w / min(rho) per mm of
-    depth; its conductance is that over depth_mm, and its average
-    conductivity is at most 1 / min(rho).
+    it is narrower than 2w), so its sum of area / resistivity is at most
+    4 R w / min(rho); its conductance is that sum over depth_mm, and its
+    average conductivity is at most 1 / min(rho).
     """
     resistivities = {"subject_resistivity_ohm_m": phantom.subject_resistivity}
     for i, c in enumerate(phantom.perturbations):
