@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import sys
 
 from .config import ParseError, RunConfig, ValidationError, parse_config
 from .fbp import FilterKind, filter_gain
-from .pipeline import QUANTITY_SHORT, run_pipeline
+from .pipeline import QUANTITY_SHORT, result_order, run_pipeline
 from .projector import angle_count, slice_count
 
 _TABLE_FILTERS = tuple(kind for kind in FilterKind if kind is not FilterKind.NONE)
@@ -100,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     if not args.quiet:
-        for (quantity, rc), m in zip(itertools.product(cfg.quantities, cfg.recon), reports):
+        for (quantity, rc), m in zip(result_order(cfg), reports):
             raw = "" if rc.normalize else " raw"
             print(
                 f"{QUANTITY_SHORT[quantity]} {rc.filter.value} {rc.interp.value}{raw} "

@@ -2,8 +2,8 @@
 
 Pixels inside the inscribed disk are mapped affinely from [lo, hi] (their
 data range) onto the full integer range, and the rest are written as 0; the
-mapping is returned so callers can record it next to the file.  Both writers
-are byte-deterministic for identical inputs.
+mapping is returned so callers can record it next to the file.  Levels are made
+in the file's dtype; both writers are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ PGM_MAXVAL = 65535
 PNG_MAXVAL = 255
 
 
-def _to_levels(img: RasterImage, maxval: int) -> tuple[np.ndarray, float, float]:
-    """Quantize to [0, maxval]; a constant disk maps to mid-gray."""
-    out, lo, hi = rescale(img, maxval, maxval // 2)
-    levels = np.rint(np.clip(out, 0, maxval)).astype(np.uint32)
-    return levels, lo, hi
+def _to_levels(img: RasterImage, maxval: int, dtype: str) -> tuple[np.ndarray, float, float]:
+    """Quantize to [0, maxval] in ``dtype``; a constant disk maps to mid-gray."""
+    out, lo, hi = rescale(img, maxval, maxval // 2)  # a fresh array, so rounded in place
+    np.rint(np.clip(out, 0, maxval, out=out), out=out)
+    return out.astype(dtype), lo, hi
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -39,18 +39,16 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
 def write_pgm(path: str | Path, img: RasterImage) -> tuple[float, float]:
     """Write a binary 16-bit P5 PGM; returns the (lo, hi) display mapping."""
-    levels, lo, hi = _to_levels(img, PGM_MAXVAL)
+    levels, lo, hi = _to_levels(img, PGM_MAXVAL, ">u2")
     header = f"P5\n{img.size} {img.size}\n{PGM_MAXVAL}\n".encode("ascii")
-    body = levels.astype(">u2").tobytes()
-    write_atomic(path, header + body)
+    write_atomic(path, header + levels.tobytes())
     return lo, hi
 
 
 def write_png(path: str | Path, img: RasterImage) -> tuple[float, float]:
     """Write an 8-bit grayscale PNG preview; returns the (lo, hi) display mapping."""
-    levels, lo, hi = _to_levels(img, PNG_MAXVAL)
-    rows = levels.astype(np.uint8)
-    raw = b"".join(b"\x00" + rows[r].tobytes() for r in range(img.size))
+    levels, lo, hi = _to_levels(img, PNG_MAXVAL, "u1")
+    raw = np.pad(levels, ((0, 0), (1, 0))).tobytes()  # filter type 0 before each scanline
 
     def chunk(tag: bytes, data: bytes) -> bytes:
         return (

@@ -12,7 +12,8 @@ This module owns every artifact name.  Layout inside the output directory:
 When the recon configs use several grid sizes, every image stem ends in
 ``_g<N>``.
 
-CSV and image bytes depend only on the config, never on wall-clock state.
+CSV and image bytes depend only on the config, never on wall-clock state.  Each
+is encoded once: the CSV as ASCII bytes, image levels in the file's dtype.
 """
 
 from __future__ import annotations
@@ -46,14 +47,14 @@ def recon_stem(rc: ReconConfig, recon: tuple[ReconConfig, ...]) -> str:
     return f"{rc.filter.value}_{rc.interp.value}{raw}{grid_suffix(rc.grid_size, recon)}"
 
 
-def sinogram_csv_text(sino: Sinogram) -> str:
-    """Angles as the header row, then one row of ``%.17e`` values per slice.
+def sinogram_csv_text(sino: Sinogram) -> bytes:
+    """The CSV as ASCII bytes: angles as the header row, then one ``%.17e`` row per slice.
 
     Blocks of ``_CSV_BLOCK_ROWS`` rows go through :func:`_e17_rows`; a row with
-    a value outside [1e-5, 1e17) goes through ``%``, which writes the same bytes.
+    a value outside [1e-5, 1e17) goes through bytes ``%``, which writes the same bytes.
     """
-    header = ",".join(repr(a) for a in sino.angles_deg) + "\n"
-    row = ",".join(["%.17e"] * sino.n_angles) + "\n"
+    header = (",".join(repr(a) for a in sino.angles_deg) + "\n").encode("ascii")
+    row = b",".join([b"%.17e"] * sino.n_angles) + b"\n"
     in_range = ((sino.data >= 1e-5) & (sino.data < 1e17)).all(axis=1) & (sino.n_angles > 0)
     parts = [header]
     for start in range(0, sino.n_slices, _CSV_BLOCK_ROWS):
@@ -63,7 +64,7 @@ def sinogram_csv_text(sino: Sinogram) -> str:
             parts.append(_e17_rows(block))
         else:
             parts += [_e17_rows(v[None]) if f else row % tuple(v) for v, f in zip(block, fast)]
-    return "".join(parts)
+    return b"".join(parts)
 
 
 # rows encoded at once: the temporaries stay far below the text itself
@@ -94,7 +95,7 @@ def _scaled_digits(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     return hi.astype(np.int64) + np.rint(lo, out=lo).astype(np.int64)
 
 
-def _e17_rows(block: np.ndarray) -> str:
+def _e17_rows(block: np.ndarray) -> bytes:
     """CSV rows of ``block``, every value in [1e-5, 1e17), byte for byte as
     ``%.17e`` writes them: the correctly rounded 18 digits, ties to even.
 
@@ -123,11 +124,7 @@ def _e17_rows(block: np.ndarray) -> str:
     record[20] = np.where(k < 0, ord("-"), ord("+"))
     record[23] = ord(",")
     record[23, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
-    return str(record.T.tobytes(), "ascii")
-
-
-def _json_safe(value: float) -> float | str:
-    return "inf" if math.isinf(value) else value
+    return record.T.tobytes()
 
 
 def _write_images(out_dir: Path, stem: str, img: RasterImage) -> dict:
@@ -135,6 +132,11 @@ def _write_images(out_dir: Path, stem: str, img: RasterImage) -> dict:
     lo, hi = write_pgm(out_dir / f"{stem}.pgm", img)
     write_png(out_dir / f"{stem}.png", img)
     return {"pgm": f"{stem}.pgm", "png": f"{stem}.png", "display_lo": lo, "display_hi": hi}
+
+
+def result_order(config: RunConfig) -> list[tuple[Quantity, ReconConfig]]:
+    """The (quantity, recon entry) of each result, in the order they are made."""
+    return [(quantity, rc) for quantity in config.quantities for rc in config.recon]
 
 
 def run_pipeline(config: RunConfig) -> list[MetricsReport]:
@@ -177,7 +179,7 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
         sinograms[quantity] = sino
         if "sinogram_csv" in emit:
             name = f"sinogram_{QUANTITY_SHORT[quantity]}.csv"
-            write_atomic(out_dir / name, sinogram_csv_text(sino).encode("ascii"))
+            write_atomic(out_dir / name, sinogram_csv_text(sino))
             doc["sinograms"].append({"quantity": quantity.value, "csv": name})
 
     targets = {}
@@ -188,29 +190,28 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
             stem = "target" + grid_suffix(grid, config.recon)
             doc["targets"].append({"grid_size": grid, **_write_images(out_dir, stem, target)})
 
-    for quantity in config.quantities:
-        for rc in config.recon:
-            start = time.perf_counter()
-            image = reconstruct(sinograms[quantity], rc)
-            metrics = compare(image, targets[rc.grid_size])
-            seconds = time.perf_counter() - start
-            reports.append(metrics)
+    for quantity, rc in result_order(config):
+        start = time.perf_counter()
+        image = reconstruct(sinograms[quantity], rc)
+        metrics = compare(image, targets[rc.grid_size])
+        seconds = time.perf_counter() - start
+        reports.append(metrics)
 
-            entry = {
-                "quantity": quantity.value,
-                "filter": rc.filter.value,
-                "interp": rc.interp.value,
-                "normalize": rc.normalize,
-                "grid_size": rc.grid_size,
-                "rmse": metrics.rmse,
-                "pearson": metrics.pearson,
-                "psnr": _json_safe(metrics.psnr),
-                "seconds": seconds,
-            }
-            if "recon_images" in emit:
-                stem = f"{QUANTITY_SHORT[quantity]}_{recon_stem(rc, config.recon)}"
-                entry.update(_write_images(out_dir, stem, image))
-            doc["results"].append(entry)
+        entry = {
+            "quantity": quantity.value,
+            "filter": rc.filter.value,
+            "interp": rc.interp.value,
+            "normalize": rc.normalize,
+            "grid_size": rc.grid_size,
+            "rmse": metrics.rmse,
+            "pearson": metrics.pearson,
+            "psnr": "inf" if math.isinf(metrics.psnr) else metrics.psnr,
+            "seconds": seconds,
+        }
+        if "recon_images" in emit:
+            stem = f"{QUANTITY_SHORT[quantity]}_{recon_stem(rc, config.recon)}"
+            entry.update(_write_images(out_dir, stem, image))
+        doc["results"].append(entry)
 
     if "metrics_json" in emit:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -704,6 +704,31 @@ class TestCli:
         assert f"repeated key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "mutate, fragment",
+        [
+            (lambda doc: doc.update(output_dir=5), "output_dir must be a string"),
+            (lambda doc: doc.pop("angle_step_deg"), "missing required key 'angle_step_deg'"),
+            (lambda doc: doc.update(recon=doc["recon"][0]), "recon must be a list"),
+            (lambda doc: doc["recon"][0].update(grid_size=40.5), "recon[0].grid_size must be"),
+            (lambda doc: doc["recon"][0].update(normalize="no"), "recon[0].normalize must be"),
+        ],
+        ids=["output_dir", "missing_key", "recon", "grid_size", "normalize"],
+    )
+    def test_malformed_config_rejected(
+        self, tmp_path, capsys, monkeypatch, command, mutate, fragment
+    ):
+        # the default output directory is relative, so run it where nothing else is
+        monkeypatch.chdir(tmp_path)
+        doc = base_config()
+        mutate(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_grid_override_that_collides_rejected(self, tmp_path, capsys):
         doc = base_config(
             recon=[
@@ -773,6 +798,31 @@ class TestCli:
             "avgcond none linear grid 80",
             "avgcond none linear raw grid 80",
         ]
+
+    def test_printed_lines_match_their_results(self, tmp_path, capsys):
+        doc = base_config(
+            quantities=["avg_conductivity", "conductance"],
+            recon=[
+                {"filters": ["none", "ramlak"], "interps": ["linear"], "grid_size": 40},
+                {"filters": ["hann"], "interps": ["nearest", "spline"], "grid_size": 80},
+                {"filters": ["ramlak"], "interps": ["linear"], "grid_size": 80, "normalize": False},
+            ],
+            output_dir=str(tmp_path / "out"),
+        )
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 0
+        *lines, last = capsys.readouterr().out.splitlines()
+        assert last.startswith("wrote artifacts")
+        short = {q.value: name for q, name in eit_fbp.pipeline.QUANTITY_SHORT.items()}
+        expected = {}
+        for r in json.loads((tmp_path / "out" / "metrics.json").read_text())["results"]:
+            raw = "" if r["normalize"] else " raw"
+            label = f"{short[r['quantity']]} {r['filter']} {r['interp']}{raw} grid {r['grid_size']}"
+            psnr = float(r["psnr"])
+            expected[label] = f"rmse={r['rmse']:.6g} pearson={r['pearson']:.6g} psnr={psnr:.6g}"
+        assert len(lines) == len(expected) == 10
+        assert dict(line.split(": ", 1) for line in lines) == expected
 
     def test_runtime_error_exit_code(self, fixtures_dir, tmp_path, capsys):
         clobber = tmp_path / "file_in_the_way"

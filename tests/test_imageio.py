@@ -4,7 +4,19 @@ import zlib
 import numpy as np
 import pytest
 
-from eit_fbp import RasterImage, inscribed_mask, normalize_image, rasterize_target
+from eit_fbp import (
+    FilterKind,
+    InterpKind,
+    Quantity,
+    RasterImage,
+    ReconConfig,
+    compute_sinogram,
+    inscribed_mask,
+    normalize_image,
+    parse_config,
+    rasterize_target,
+    reconstruct,
+)
 from eit_fbp.imageio import write_pgm, write_png
 
 
@@ -41,6 +53,21 @@ def read_png(path):
 @pytest.fixture
 def target(one_perturbation):
     return normalize_image(rasterize_target(one_perturbation, 64))
+
+
+@pytest.fixture
+def raw_ramlak(fixtures_dir):
+    """An unnormalised ramlak reconstruction, whose disk has pixels of both signs."""
+    cfg = parse_config(fixtures_dir / "three_perturbations_q5.json")
+    sino = compute_sinogram(cfg.phantom, cfg.angle_step, Quantity.AVG_CONDUCTIVITY)
+    return reconstruct(sino, ReconConfig(FilterKind.RAM_LAK, InterpKind.LINEAR, 64, False))
+
+
+# writer, the levels read back, and the file's maxval
+FORMATS = {
+    "pgm": (write_pgm, lambda path: read_pgm(path)[1], 65535),
+    "png": (write_png, read_png, 255),
+}
 
 
 class TestPgm:
@@ -93,3 +120,17 @@ class TestPng:
         write_png(tmp_path / "a.png", target)
         write_png(tmp_path / "b.png", target)
         assert (tmp_path / "a.png").read_bytes() == (tmp_path / "b.png").read_bytes()
+
+
+class TestRawReconstruction:
+    @pytest.mark.parametrize("suffix", FORMATS)
+    def test_levels_of_negative_and_positive_pixels(self, tmp_path, raw_ramlak, suffix):
+        write, read, maxval = FORMATS[suffix]
+        mask = inscribed_mask(64, 40.0)
+        disk = raw_ramlak.pixels[mask]
+        assert disk.min() < 0 < disk.max()
+        lo, hi = write(tmp_path / f"raw.{suffix}", raw_ramlak)
+        assert (lo, hi) == (disk.min(), disk.max())
+        data = read(tmp_path / f"raw.{suffix}")
+        np.testing.assert_array_equal(data[mask], np.rint((disk - lo) / (hi - lo) * maxval))
+        assert np.all(data[~mask] == 0)

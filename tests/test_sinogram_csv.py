@@ -1,6 +1,7 @@
 """The sinogram CSV writer: its numpy encoder writes exactly the bytes of ``%.17e``."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,19 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from eit_fbp import Quantity, Sinogram, compute_sinogram, parse_config
-from eit_fbp.pipeline import _e17_rows, sinogram_csv_text
+from eit_fbp import Quantity, Sinogram, compute_sinogram, parse_config, run_pipeline
+from eit_fbp.pipeline import QUANTITY_SHORT, _e17_rows, sinogram_csv_text
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 IN_RANGE = st.floats(min_value=1e-5, max_value=1e17, exclude_max=True)
 
 
-def per_row(sino: Sinogram) -> str:
-    """The writer's reference: one ``%`` format per row."""
+def per_row(sino: Sinogram) -> bytes:
+    """The writer's reference: one ``%`` format per row, encoded as ASCII."""
     header = ",".join(repr(a) for a in sino.angles_deg) + "\n"
     row = ",".join(["%.17e"] * sino.n_angles) + "\n"
-    return "".join([header, *(row % tuple(values) for values in sino.data)])
+    return "".join([header, *(row % tuple(values) for values in sino.data)]).encode("ascii")
 
 
 def sinogram(data) -> Sinogram:
@@ -67,12 +68,12 @@ class TestEncoder:
     @settings(max_examples=300, deadline=None)
     @given(x=FINITE)
     def test_any_finite_double(self, x):
-        assert sinogram_csv_text(sinogram([[x]])) == "0.0\n" + "%.17e\n" % x
+        assert sinogram_csv_text(sinogram([[x]])) == ("0.0\n" + "%.17e\n" % x).encode("ascii")
 
     @settings(max_examples=300, deadline=None)
     @given(x=IN_RANGE)
     def test_encoder_in_range(self, x):
-        assert _e17_rows(np.array([[x]])) == "%.17e\n" % x
+        assert _e17_rows(np.array([[x]])) == ("%.17e\n" % x).encode("ascii")
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -90,15 +91,15 @@ class TestEncoder:
     def test_boundary_value(self, x):
         assert sinogram_csv_text(sinogram([[x, x]])) == per_row(sinogram([[x, x]]))
         if 1e-5 <= x < 1e17:
-            assert _e17_rows(np.array([[x]])) == "%.17e\n" % x
+            assert _e17_rows(np.array([[x]])) == ("%.17e\n" % x).encode("ascii")
 
     def test_ties_round_to_even(self):
         values = ties()
         assert len(values) >= 60
         text = _e17_rows(np.array([values]))
-        assert text == ",".join("%.17e" % x for x in values) + "\n"
+        assert text == (",".join("%.17e" % x for x in values) + "\n").encode("ascii")
         directions = set()
-        for x, record in zip(values, text.split(",")):
+        for x, record in zip(values, text.decode("ascii").split(",")):
             digits, exponent = record.replace(".", "").split("e")
             scaled = Fraction(x) * Fraction(10) ** (17 - int(exponent))
             assert scaled.denominator == 2  # an exact tie
@@ -108,7 +109,8 @@ class TestEncoder:
 
     @pytest.mark.parametrize("x", FALLBACK, ids=repr)
     def test_value_outside_the_range_falls_back(self, x):
-        assert sinogram_csv_text(sinogram([[1.0, x]])) == "0.0,1.0\n" + "%.17e,%.17e\n" % (1.0, x)
+        expected = "0.0,1.0\n" + "%.17e,%.17e\n" % (1.0, x)
+        assert sinogram_csv_text(sinogram([[1.0, x]])) == expected.encode("ascii")
 
 
 class TestSinogramCsv:
@@ -131,5 +133,14 @@ class TestSinogramCsv:
 
     def test_no_angles_or_no_slices(self):
         empty = Sinogram(np.zeros((3, 0)), (), Quantity.CONDUCTANCE, 1.0, 40.0)
-        assert sinogram_csv_text(empty) == per_row(empty) == "\n\n\n\n"
-        assert sinogram_csv_text(sinogram(np.zeros((0, 2)))) == "0.0,1.0\n"
+        assert sinogram_csv_text(empty) == per_row(empty) == b"\n\n\n\n"
+        assert sinogram_csv_text(sinogram(np.zeros((0, 2)))) == b"0.0,1.0\n"
+
+    def test_written_csv_is_the_encoder_output(self, fixtures_dir, tmp_path):
+        cfg = parse_config(fixtures_dir / "one_perturbation_q10.json")
+        cfg = replace(cfg, output_dir=str(tmp_path), emit=("sinogram_csv",))
+        run_pipeline(cfg)
+        for quantity in cfg.quantities:
+            sino = compute_sinogram(cfg.phantom, cfg.angle_step, quantity)
+            name = f"sinogram_{QUANTITY_SHORT[quantity]}.csv"
+            assert (tmp_path / name).read_bytes() == sinogram_csv_text(sino)
