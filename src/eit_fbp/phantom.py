@@ -9,7 +9,6 @@ it for every sinogram and :func:`strip_area` is its scalar view.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +84,8 @@ class Phantom:
 def validate(phantom: Phantom) -> Phantom:
     """Check every phantom invariant, returning the phantom unchanged if valid.
 
-    Raises NonPositiveDimension (also for NaN, infinite or absurd magnitudes),
+    Raises NonPositiveDimension (also for NaN, infinity, or a size, depth or
+    resistivity outside 1e-24 .. 1e24, which bounds every strip value by 4e96),
     PerturbationOutsideSubject or OverlappingPerturbations; the error names
     the offending circle index where one applies.
     """
@@ -122,15 +122,19 @@ def validate(phantom: Phantom) -> Phantom:
 
 
 def _check(label: str, value: float, positive: bool, index: int | None = None) -> None:
-    """Raise NonPositiveDimension unless ``value`` is finite and, if ``positive``, > 0 with a
-    square (and so a reciprocal) that is a finite normal float."""
+    """Raise NonPositiveDimension unless ``value`` is finite and, if ``positive``, lies in
+    1e-24 .. 1e24."""
     # NaN compares False with everything, so a plain <= 0 test would pass it
     if not math.isfinite(value):
         raise NonPositiveDimension(f"{label} must be finite, got {value}", index)
     if positive and value <= 0:
         raise NonPositiveDimension(f"{label} must be > 0, got {value}", index)
-    if positive and not sys.float_info.min <= value * value < math.inf:
-        raise NonPositiveDimension(f"{label} must lie in 1.5e-154 .. 1.3e154, got {value}", index)
+    # a strip's material areas sum to less than 2R x 2w, so in this range a conductance
+    # is at most 4 R w / (min rho x depth) <= 4e96 and an average conductivity at most
+    # 1 / min rho <= 1e24: far enough inside the float range that the filtered and
+    # back-projected images and compare's squared errors stay finite
+    if positive and not 1e-24 <= value <= 1e24:
+        raise NonPositiveDimension(f"{label} must lie in 1e-24 .. 1e24, got {value}", index)
 
 
 def rotate_center(p: Point, theta_deg: float) -> Point:
@@ -171,4 +175,7 @@ def _strip_areas(radius: float, edges: np.ndarray) -> np.ndarray:
     s = np.clip(edges, -radius, radius)
     # d/ds [s*sqrt(r^2-s^2) + r^2*asin(s/r)] = 2*sqrt(r^2-s^2)
     f = s * np.sqrt(radius * radius - s * s) + radius * radius * np.arcsin(s / radius)
-    return np.diff(f, axis=0)
+    areas = np.diff(f, axis=0)
+    # at an edge just inside the disk an area can round below 0, which a large
+    # conductivity would turn into a negative strip value
+    return np.maximum(areas, 0.0, out=areas)

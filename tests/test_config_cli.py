@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import re
 import signal
@@ -214,8 +216,8 @@ class TestParseConfig:
         [
             (lambda d: d.update(angle_step_deg=1e-4), "1.8e\\+06 angles"),
             (lambda d: d["phantom"].update(slice_width_mm=1e-4), "slice_width_mm 0.0001"),
-            # every number within the phantom rules, but 2R / w is 2e150 slices
-            (lambda d: d["phantom"].update(subject_radius_mm=1e150), "2e\\+150 slices"),
+            # every number within the phantom rules, but 2R / w is 2e20 slices
+            (lambda d: d["phantom"].update(subject_radius_mm=1e20), "2e\\+20 slices"),
             (lambda d: d["recon"][0].update(grid_size=100000), "grid_size 100000"),
             # one angle keeps grid^2 x angles under the sample cap; the pixel cap stops it
             (
@@ -521,6 +523,45 @@ class TestRunPipeline:
         assert len(reports) == len(cfg.quantities) * len(cfg.recon)
         assert not (tmp_path / "out" / "INCOMPLETE").exists()
 
+    @pytest.mark.parametrize(
+        "radius, width_share, resistivity, depth, circle_resistivity",
+        itertools.product([4e-24, 1e24], [1, 0.25], *[[1e-24, 1e24]] * 3),
+    )
+    def test_range_corners_run_finite(
+        self, fixtures_dir, tmp_path, radius, width_share, resistivity, depth, circle_resistivity
+    ):
+        # the corners of 1e-24 .. 1e24, the range that bounds every strip value by
+        # 4e96; an overflow anywhere in the run is a RuntimeWarning, which fails it
+        fixture = json.loads((fixtures_dir / "two_perturbations_unfiltered_q5.json").read_text())
+        quarter = radius / 4
+        doc = base_config(
+            quantities=["avg_conductivity", "conductance"],
+            recon=[{**entry, "grid_size": 40} for entry in fixture["recon"]],
+            output_dir=str(tmp_path / "out"),
+        )
+        doc["phantom"] = {
+            "subject_radius_mm": radius,
+            "subject_resistivity_ohm_m": resistivity,
+            "depth_mm": depth,
+            "slice_width_mm": radius * width_share,
+            "perturbations": [
+                {
+                    "center_x_mm": quarter,
+                    "center_y_mm": quarter,
+                    "radius_mm": quarter,
+                    "resistivity_ohm_m": circle_resistivity,
+                }
+            ],
+        }
+        run_pipeline(parse_config_dict(doc))
+        out = tmp_path / "out"
+        for quantity in ("avgcond", "conductance"):
+            values = np.loadtxt(out / f"sinogram_{quantity}.csv", delimiter=",", skiprows=1)
+            assert np.all(np.isfinite(values) & (values > 0) & (values <= 4e96)), quantity
+        numbers = []
+        json.loads((out / "metrics.json").read_text(), parse_float=numbers.append)
+        assert numbers and all(math.isfinite(float(n)) for n in numbers)
+
 
 class TestCli:
     def test_validate_ok(self, fixtures_dir, capsys):
@@ -550,18 +591,33 @@ class TestCli:
         assert f"{key} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", [1e-170, 1e200, 1e-320])
+    @pytest.mark.parametrize(
+        "value",
+        [1e-170, 1e200, 1e-320, math.nextafter(1e-24, 0), math.nextafter(1e24, math.inf)],
+    )
     @pytest.mark.parametrize("key", [*PHANTOM_KEYS, "radius_mm", "resistivity_ohm_m"])
     def test_absurd_magnitude_rejected(self, tmp_path, capsys, key, value):
-        # a size or resistivity whose square or reciprocal is no finite normal float
-        doc = base_config()
+        # a size, depth or resistivity outside 1e-24 .. 1e24, down to the float next to an end
+        doc = base_config(output_dir=str(tmp_path / "out"))
         circle = key in CIRCLE_KEYS
         (doc["phantom"]["perturbations"][0] if circle else doc["phantom"])[key] = value
         path = tmp_path / "absurd.json"
         path.write_text(json.dumps(doc))
-        assert main(["validate", str(path)]) == 2
         field = f"perturbation 0: {CIRCLE_KEYS[key]}" if circle else PHANTOM_KEYS[key]
-        assert f"{field} must lie in 1.5e-154 .. 1.3e154, got {value}" in capsys.readouterr().err
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            assert f"{field} must lie in 1e-24 .. 1e24, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [1e-24, 1e24])
+    def test_range_ends_accepted(self, tmp_path, capsys, value):
+        # every positive number, of the subject and of a circle, exactly at one end
+        circle = {"center_x_mm": 0, "center_y_mm": 0, "radius_mm": value, "resistivity_ohm_m": value}
+        doc = base_config(recon=[{"filters": ["none"], "interps": ["linear"], "grid_size": 40}])
+        doc["phantom"] = {**dict.fromkeys(PHANTOM_KEYS, value), "perturbations": [circle]}
+        path = tmp_path / "ends.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0, capsys.readouterr().err
 
     # each ran to exit 0: all-zero sinograms with rmse=0 psnr=inf, or rmse=nan on every line
     @pytest.mark.parametrize(
@@ -582,9 +638,8 @@ class TestCli:
         assert f"{PHANTOM_KEYS[next(iter(numbers))]} must lie in" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    # every number is in range, but each strip's 1e299 mm^2 over 1e-150 ohm m overflows;
-    # the strip-value bound rejects it before anything is computed
-    def test_non_finite_sinogram_fails_the_run(self, tmp_path, capsys):
+    # each strip's 1e299 mm^2 over 1e-150 ohm m would overflow; the radius is out of range
+    def test_overflowing_phantom_rejected_by_validate_and_run(self, tmp_path, capsys):
         doc = base_config(output_dir=str(tmp_path / "out"))
         doc["phantom"].update(
             subject_radius_mm=1e150,
@@ -596,53 +651,47 @@ class TestCli:
         path.write_text(json.dumps(doc))
         for command in ("validate", "run"):
             assert main([command, str(path)]) == 2
-            err = capsys.readouterr().err
-            assert (
-                "subject_radius_mm 1e+150, slice_width_mm 1e+149, subject_resistivity_ohm_m "
-                "1e-150 give strip values up to inf, more than 1e+100"
-            ) in err
+            assert "subject_radius must lie in 1e-24 .. 1e24, got 1e+150" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # phantoms whose strip values could pass 1e100; one number of each is out of range
     @pytest.mark.parametrize(
         "numbers, quantities, named",
         [
-            # 4 R w / rho: the smallest resistivity is the perturbation's
+            # 4 R w / rho
             (
                 {"subject_radius_mm": 1e52, "slice_width_mm": 1e47},
                 ["avg_conductivity"],
-                "subject_radius_mm 1e+52, slice_width_mm 1e+47, "
-                "perturbations[0].resistivity_ohm_m 0.0002 give",
+                "subject_radius must lie in 1e-24 .. 1e24, got 1e+52",
             ),
             # the conductance is that sum over depth_mm
-            (
-                {"depth_mm": 1e-96},
-                ["conductance"],
-                "perturbations[0].resistivity_ohm_m 0.0002, depth_mm 1e-96 give",
-            ),
+            ({"depth_mm": 1e-96}, ["conductance"], "depth must lie in 1e-24 .. 1e24, got 1e-96"),
             # an average conductivity is at most 1 / min(rho)
             (
                 {"subject_resistivity_ohm_m": 1e-101},
                 ["avg_conductivity"],
-                "subject_resistivity_ohm_m 1e-101 give",
+                "subject_resistivity must lie in 1e-24 .. 1e24, got 1e-101",
             ),
         ],
         ids=["radius_and_width", "depth", "resistivity"],
     )
     def test_strip_values_over_bound_rejected(self, tmp_path, capsys, numbers, quantities, named):
-        doc = base_config(quantities=quantities)
+        doc = base_config(quantities=quantities, output_dir=str(tmp_path / "out"))
         doc["phantom"].update(numbers)
         path = tmp_path / "absurd.json"
         path.write_text(json.dumps(doc))
-        assert main(["validate", str(path)]) == 2
-        assert named in capsys.readouterr().err
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_depth_bounds_only_the_conductance(self):
-        doc = base_config(quantities=["avg_conductivity"])
-        doc["phantom"]["depth_mm"] = 1e-96
-        assert parse_config_dict(doc).phantom.depth == 1e-96
-        doc["quantities"].append("conductance")
-        with pytest.raises(ValidationError, match="depth_mm 1e-96 give strip values up to 8e"):
-            parse_config_dict(doc)
+    def test_tiny_depth_rejected_for_every_quantity_list(self):
+        # depth_mm divides only the conductance, but its range holds for every run
+        for quantities in (["avg_conductivity"], ["conductance"], ["avg_conductivity", "conductance"]):
+            doc = base_config(quantities=quantities)
+            doc["phantom"]["depth_mm"] = 1e-96
+            with pytest.raises(ValidationError, match="depth must lie in 1e-24 .. 1e24, got 1e-96"):
+                parse_config_dict(doc)
 
     @pytest.mark.parametrize(
         "key, value, fragment",
