@@ -31,7 +31,7 @@ EMIT_KINDS = ("sinogram_csv", "target_image", "recon_images", "metrics_json")
 # is what bounds a config with few angles.
 MAX_SINOGRAM_VALUES = 10**7  # n_slices x n_angles
 MAX_BACKPROJECTION_SAMPLES = 10**9  # grid_size^2 x n_angles, per recon entry
-MAX_RECON_PIXELS = 4 * 10**7  # grid_size^2, per recon entry
+MAX_RECON_PIXELS = 4 * 10**7  # grid_size^2 over distinct sizes: a run holds one target per size
 
 
 # JSON key -> field of the object it sets, in the order the keys are checked
@@ -59,9 +59,9 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run; no recon config may appear twice, since two equal ones
-    would write the same artifacts, and none may back-project more than
-    MAX_BACKPROJECTION_SAMPLES samples or MAX_RECON_PIXELS pixels."""
+    """A validated run: no recon config appears twice (both would write the same
+    artifacts), none back-projects more than MAX_BACKPROJECTION_SAMPLES samples,
+    and its distinct grid sizes hold at most MAX_RECON_PIXELS pixels together."""
 
     phantom: Phantom
     angle_step: float
@@ -80,11 +80,6 @@ class RunConfig:
                     f"for {rc.grid_size}^2 pixels x {n_angles} angles, more than "
                     f"{MAX_BACKPROJECTION_SAMPLES:.0e} back-projection samples"
                 )
-            if rc.grid_size**2 > MAX_RECON_PIXELS:
-                raise ValidationError(
-                    f"recon grid_size {rc.grid_size} asks for {rc.grid_size}^2 pixels, more than "
-                    f"{MAX_RECON_PIXELS:.0e} pixels in one image"
-                )
             if rc in seen:
                 raise ValidationError(
                     f"recon repeats filter '{rc.filter.value}' x interp '{rc.interp.value}' "
@@ -92,6 +87,13 @@ class RunConfig:
                     "both would write the same artifacts"
                 )
             seen.add(rc)
+        grids = sorted({rc.grid_size for rc in self.recon}, reverse=True)  # largest first
+        if sum(g * g for g in grids) > MAX_RECON_PIXELS:
+            raise ValidationError(
+                f"recon grid_size {', '.join(map(str, grids))} asks for "
+                f"{' + '.join(f'{g}^2' for g in grids)} pixels, more than "
+                f"{MAX_RECON_PIXELS:.0e} pixels in the images of one run"
+            )
 
 
 def parse_config(path: str | Path) -> RunConfig:

@@ -1,9 +1,8 @@
 """Lossless 16-bit PGM output plus an 8-bit PNG preview.
 
-Pixels inside the inscribed disk are mapped affinely from [lo, hi] (their
-data range) onto the full integer range, and the rest are written as 0; the
-mapping is returned so callers can record it next to the file.  Levels are made
-in the file's dtype; both writers are byte-deterministic for identical inputs.
+Both writers take a unit map, an image already mapped onto [0, 1], and only
+encode it: each rounds it to its own integer range in the file's dtype.  Both
+are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -15,17 +14,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .raster import RasterImage, rescale
-
 PGM_MAXVAL = 65535
 PNG_MAXVAL = 255
+# the unit level of a disk without spread: it rounds to 32767 in the PGM and 127 in the PNG
+MID_GRAY = (PGM_MAXVAL // 2) / PGM_MAXVAL
 
 
-def _to_levels(img: RasterImage, maxval: int, dtype: str) -> tuple[np.ndarray, float, float]:
-    """Quantize to [0, maxval] in ``dtype``; a constant disk maps to mid-gray."""
-    out, lo, hi = rescale(img, maxval, maxval // 2)  # a fresh array, so rounded in place
-    np.rint(np.clip(out, 0, maxval, out=out), out=out)
-    return out.astype(dtype), lo, hi
+def _levels(unit: np.ndarray, maxval: int, dtype: str) -> np.ndarray:
+    """``unit`` rounded to [0, maxval] in ``dtype``, 64 rows at a time, so the
+    float temporary stays a fraction of the unit map that the caller holds."""
+    levels = np.empty(unit.shape, dtype)
+    for i in range(0, len(unit), 64):
+        levels[i : i + 64] = np.rint(unit[i : i + 64] * maxval)
+    return levels
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -37,18 +38,16 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_pgm(path: str | Path, img: RasterImage) -> tuple[float, float]:
-    """Write a binary 16-bit P5 PGM; returns the (lo, hi) display mapping."""
-    levels, lo, hi = _to_levels(img, PGM_MAXVAL, ">u2")
-    header = f"P5\n{img.size} {img.size}\n{PGM_MAXVAL}\n".encode("ascii")
-    write_atomic(path, header + levels.tobytes())
-    return lo, hi
+def write_pgm(path: str | Path, unit: np.ndarray) -> None:
+    """Write the square ``unit`` map as a binary 16-bit P5 PGM."""
+    header = f"P5\n{len(unit)} {len(unit)}\n{PGM_MAXVAL}\n".encode("ascii")
+    write_atomic(path, header + _levels(unit, PGM_MAXVAL, ">u2").tobytes())
 
 
-def write_png(path: str | Path, img: RasterImage) -> tuple[float, float]:
-    """Write an 8-bit grayscale PNG preview; returns the (lo, hi) display mapping."""
-    levels, lo, hi = _to_levels(img, PNG_MAXVAL, "u1")
-    raw = np.pad(levels, ((0, 0), (1, 0))).tobytes()  # filter type 0 before each scanline
+def write_png(path: str | Path, unit: np.ndarray) -> None:
+    """Write the square ``unit`` map as an 8-bit grayscale PNG, deflated at zlib's default level."""
+    # filter type 0 before each scanline
+    raw = np.pad(_levels(unit, PNG_MAXVAL, "u1"), ((0, 0), (1, 0))).tobytes()
 
     def chunk(tag: bytes, data: bytes) -> bytes:
         return (
@@ -58,12 +57,11 @@ def write_png(path: str | Path, img: RasterImage) -> tuple[float, float]:
             + struct.pack(">I", zlib.crc32(tag + data) & 0xFFFFFFFF)
         )
 
-    ihdr = struct.pack(">IIBBBBB", img.size, img.size, 8, 0, 0, 0, 0)
+    ihdr = struct.pack(">IIBBBBB", len(unit), len(unit), 8, 0, 0, 0, 0)
     payload = (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", zlib.compress(raw, 9))
+        + chunk(b"IDAT", zlib.compress(raw))
         + chunk(b"IEND", b"")
     )
     write_atomic(path, payload)
-    return lo, hi

@@ -27,9 +27,9 @@ import numpy as np
 
 from .config import RunConfig, config_to_dict
 from .fbp import ReconConfig, reconstruct
-from .imageio import write_atomic, write_pgm, write_png
+from .imageio import MID_GRAY, write_atomic, write_pgm, write_png
 from .projector import Quantity, Sinogram, compute_sinogram
-from .raster import MetricsReport, RasterImage, compare, normalize_image, rasterize_target
+from .raster import MetricsReport, RasterImage, compare, normalize_image, rasterize_target, rescale
 
 QUANTITY_SHORT = {Quantity.CONDUCTANCE: "conductance", Quantity.AVG_CONDUCTIVITY: "avgcond"}
 # the temporaries write_atomic leaves behind when a run is killed mid-write
@@ -128,9 +128,10 @@ def _e17_rows(block: np.ndarray) -> bytes:
 
 
 def _write_images(out_dir: Path, stem: str, img: RasterImage) -> dict:
-    """Write ``<stem>.pgm`` and ``<stem>.png``; their metrics.json fields."""
-    lo, hi = write_pgm(out_dir / f"{stem}.pgm", img)
-    write_png(out_dir / f"{stem}.png", img)
+    """Write ``<stem>.pgm`` and ``<stem>.png`` from one rescale; their metrics.json fields."""
+    unit, lo, hi = rescale(img, MID_GRAY)
+    write_pgm(out_dir / f"{stem}.pgm", unit)
+    write_png(out_dir / f"{stem}.png", unit)
     return {"pgm": f"{stem}.pgm", "png": f"{stem}.png", "display_lo": lo, "display_hi": hi}
 
 

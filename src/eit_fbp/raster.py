@@ -87,8 +87,8 @@ def rasterize_target(phantom: Phantom, grid_size: int) -> RasterImage:
     return RasterImage(img, r)
 
 
-def rescale(img: RasterImage, top: float, flat: float) -> tuple[np.ndarray, float, float]:
-    """Map the inscribed disk's pixels affinely from their (lo, hi) range onto [0, top].
+def rescale(img: RasterImage, flat: float) -> tuple[np.ndarray, float, float]:
+    """Map the inscribed disk's pixels affinely from their (lo, hi) range onto [0, 1].
 
     Returns the mapped array, 0 outside the disk, and (lo, hi).  A disk
     without spread maps to ``flat``, so a degenerate range never divides by
@@ -100,7 +100,6 @@ def rescale(img: RasterImage, top: float, flat: float) -> tuple[np.ndarray, floa
     if hi > lo:
         vals -= lo
         vals /= hi - lo
-        vals *= top
     else:
         vals[:] = flat
     out = np.zeros((img.size, img.size))
@@ -113,7 +112,7 @@ def normalize_image(img: RasterImage) -> RasterImage:
 
     A constant disk maps to 0.5 everywhere inside it.
     """
-    out, _, _ = rescale(img, 1.0, 0.5)
+    out, _, _ = rescale(img, 0.5)
     return RasterImage(out, img.extent)
 
 

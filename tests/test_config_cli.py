@@ -227,8 +227,26 @@ class TestParseConfig:
                 ),
                 "recon grid_size 31622 asks for 31622\\^2 pixels",
             ),
+            # each grid alone is under the pixel cap; the run holds a target at both
+            (
+                lambda d: d.update(
+                    angle_step_deg=180,
+                    recon=[
+                        {"filters": [f], "interps": ["linear"], "grid_size": g}
+                        for f, g in (("none", 4500), ("none", 5000), ("ramlak", 4500))
+                    ],
+                ),
+                "recon grid_size 5000, 4500 asks for 5000\\^2 \\+ 4500\\^2 pixels",
+            ),
         ],
-        ids=["angle_step", "slice_width", "subject_radius", "grid_size", "one_angle_grid_size"],
+        ids=[
+            "angle_step",
+            "slice_width",
+            "subject_radius",
+            "grid_size",
+            "one_angle_grid_size",
+            "distinct_grid_sizes",
+        ],
     )
     def test_work_over_cap_rejected(self, mutate, fragment):
         doc = base_config()
@@ -317,8 +335,9 @@ def test_every_config_dict_is_parsed_or_rejected(doc):
     except (ParseError, ValidationError):
         return
     assert isinstance(cfg, RunConfig)
-    # a one-angle sweep passes the sample cap at any grid; the pixel cap still holds
-    assert all(rc.grid_size**2 <= MAX_RECON_PIXELS for rc in cfg.recon)
+    # a one-angle sweep passes the sample cap at any grid; the pixel cap still
+    # holds, over the run's distinct grid sizes together
+    assert sum(g * g for g in {rc.grid_size for rc in cfg.recon}) <= MAX_RECON_PIXELS
 
 
 GRIDS = [40, 64, 80]
@@ -722,6 +741,20 @@ class TestCli:
         assert main(["run", str(path), "--grid", "10000", "--quiet"]) == 2
         assert "recon grid_size 10000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_grids_that_fit_only_alone_rejected(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        # 40 grid sizes near 6000: each is under the pixel cap, but their targets
+        # together would hold 11.6 GB before the first back projection
+        doc = json.loads((fixtures_dir / "one_perturbation_q10.json").read_text())
+        doc["recon"] = [
+            {"filters": ["none"], "interps": ["linear"], "grid_size": g} for g in range(6000, 6040)
+        ]
+        path = tmp_path / "many_grids.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(eit_fbp.cli, "run_pipeline", lambda cfg: pytest.fail("ran"))
+        assert max(g * g for g in range(6000, 6040)) <= MAX_RECON_PIXELS
+        assert main(["validate", str(path)]) == 2
+        assert "recon grid_size 6039, 6038" in capsys.readouterr().err
 
     def test_config_not_utf8_rejected(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
