@@ -115,14 +115,15 @@ def filter_projection(p: Projection, kind: FilterKind) -> Projection:
 def _filter(values: np.ndarray, kind: FilterKind) -> np.ndarray:
     """Filter every column of the (n_slices x n_columns) ``values`` at once.
 
-    ``rfft`` zero-pads each column to the next power of two >= 2N itself.
+    ``rfft`` zero-pads each column to the next power of two >= 2N itself.  The
+    N rows are copied out, so the padded output does not outlive this call.
     """
     n = values.shape[0]
     padded_len = 1 << max(2 * n - 1, 1).bit_length()
     spectrum = np.fft.rfft(values, n=padded_len, axis=0)
     half = padded_len // 2
     spectrum *= _gains(kind, np.arange(half + 1) / half)[:, None]
-    return np.fft.irfft(spectrum, n=padded_len, axis=0)[:n]
+    return np.fft.irfft(spectrum, n=padded_len, axis=0)[:n].copy()
 
 
 def sample_projection(

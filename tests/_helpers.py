@@ -1,5 +1,6 @@
-"""Shared test utilities: correlation, blob extraction, random phantoms, and
-the scalar strip geometry kept as an independent reference for the projector."""
+"""Shared test utilities: correlation, blob extraction, random phantoms, the
+scalar strip geometry kept as an independent reference for the projector, and
+the full-grid sinogram that the projector's bands must equal bit for bit."""
 
 from __future__ import annotations
 
@@ -13,12 +14,16 @@ from eit_fbp import (
     IndexOutOfRange,
     NonPositiveRadius,
     Phantom,
+    Quantity,
     RasterImage,
     inscribed_mask,
     pixel_centers,
     slice_count,
+    sweep_angles,
     validate,
 )
+from eit_fbp.phantom import _strip_areas
+from eit_fbp.projector import _edges
 
 
 def pearson(a, b) -> float:
@@ -163,3 +168,33 @@ def _chord_antiderivative(radius: float, s: float) -> float:
     return s * math.sqrt(max(radius * radius - s * s, 0.0)) + radius * radius * math.asin(
         min(max(s / radius, -1.0), 1.0)
     )
+
+
+# Unlike the scalar reference above, this shares ``_strip_areas`` and ``_edges``
+# with the projector: it checks the band, not the strip integral.
+
+
+def full_grid_sinogram(phantom: Phantom, angle_step: float, quantity: Quantity) -> np.ndarray:
+    """The projector's sinogram with every inclusion integrated over all n + 1
+    edges at every angle, as one array expression per disk.
+
+    The same float operations as ``projector._sinogram``, minus its band: tests
+    compare the two byte for byte, so a band that missed a strip with a nonzero
+    area, or changed one value's rounding, shows.
+    """
+    angles = sweep_angles(angle_step)
+    r = phantom.subject_radius
+    edges = _edges(r, phantom.slice_width)[:, None]
+    subject = _strip_areas(r, edges)
+    background = np.repeat(subject, len(angles), axis=1)
+    total = np.zeros_like(background)
+    turns = [(math.cos(th), math.sin(th)) for th in map(math.radians, angles)]
+    for c in phantom.perturbations:
+        x_rot = np.array([c.center_x * cos + c.center_y * sin for cos, sin in turns])
+        area = _strip_areas(c.radius, edges - x_rot)
+        background -= area
+        total += area / c.resistivity
+    total += np.maximum(background, 0.0) / phantom.subject_resistivity
+    if quantity is Quantity.CONDUCTANCE:
+        return np.divide(total, phantom.depth, out=total)
+    return np.divide(total, subject, out=np.zeros_like(total), where=subject != 0.0)

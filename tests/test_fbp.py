@@ -168,6 +168,15 @@ class TestFilterProjection:
             scale = np.max(np.abs(values[:, a]))
             np.testing.assert_allclose(out[:, a], column, rtol=0, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("n", [1, 80, 321])
+    def test_whole_sinogram_holds_no_padded_buffer(self, n):
+        # reconstruct keeps the filtered sinogram through back projection; a
+        # view of the padded irfft output would pin about 3x its bytes
+        values = np.ones((n, 180))
+        out = _filter(values, FilterKind.RAM_LAK)
+        assert out.base is None
+        assert out.nbytes == values.nbytes
+
     def test_preserves_metadata(self):
         p = make_projection(np.arange(5.0), angle=35.0)
         out = filter_projection(p, FilterKind.HANN)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_phantom, reference_slice_bounds, reference_strip_area
+from _helpers import (
+    full_grid_sinogram,
+    random_phantom,
+    reference_slice_bounds,
+    reference_strip_area,
+)
 from eit_fbp import (
     Circle,
     IndexOutOfRange,
@@ -23,6 +28,7 @@ from eit_fbp import (
     sweep_angles,
     validate,
 )
+from eit_fbp.projector import _edges
 
 # angle steps in [1, 30] degrees that divide 180
 ANGLE_STEPS = [1, 1.5, 2, 2.5, 3, 4, 5, 6, 7.5, 9, 10, 12, 15, 18, 20, 22.5, 30]
@@ -80,6 +86,55 @@ def phantoms(draw) -> Phantom:
             subject_resistivity=10.0 ** draw(st.floats(-4, -2)),
             depth=draw(st.floats(0.5, 5.0)),
             slice_width=draw(st.floats(0.25, 2.0)),
+            perturbations=tuple(circles),
+        )
+    )
+
+
+def _tangent_center(radius: float, r: float, axis: tuple[int, int]) -> tuple[float, float] | None:
+    """A centre on one axis at which a radius-r disk reaches exactly ``radius``,
+    if one rounds to it."""
+    d = radius - r
+    for dist in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
+        if dist + r == radius:
+            return axis[0] * dist, axis[1] * dist
+    return None
+
+
+@st.composite
+def band_phantoms(draw) -> Phantom:
+    """Valid phantoms whose inclusions reach what ``phantoms`` does not: radii
+    from 0.01 strip widths to the subject radius, and disks tangent to the rim
+    on either side of both axes."""
+    radius = draw(st.floats(1.0, 50.0))
+    width = radius * draw(st.floats(0.005, 1.0))
+    circles: list[Circle] = []
+    for _ in range(draw(st.integers(0, 4))):
+        decades = draw(st.floats(0.0, 2.0 + math.log10(radius / width)))
+        r = min(radius, 0.01 * width * 10.0**decades)
+        if draw(st.booleans()):
+            axis = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+            center = _tangent_center(radius, r, axis)
+            if center is None:
+                continue
+        else:
+            dist = draw(st.floats(0.0, radius - r))
+            phi = draw(st.floats(0.0, 2.0 * math.pi))
+            center = dist * math.cos(phi), dist * math.sin(phi)
+        c = Circle(*center, r, 10.0 ** draw(st.floats(-4, -2)))
+        inside = math.hypot(c.center_x, c.center_y) + r <= radius
+        apart = all(
+            math.hypot(c.center_x - o.center_x, c.center_y - o.center_y) >= r + o.radius
+            for o in circles
+        )
+        if inside and apart:
+            circles.append(c)
+    return validate(
+        Phantom(
+            subject_radius=radius,
+            subject_resistivity=10.0 ** draw(st.floats(-4, -2)),
+            depth=draw(st.floats(0.5, 5.0)),
+            slice_width=width,
             perturbations=tuple(circles),
         )
     )
@@ -229,6 +284,58 @@ class TestScalarReference:
             got = compute_sinogram(phantom, angle_step, quantity).data
             tol = 1e-12 * np.abs(ref).max(axis=0)
             assert np.all(np.abs(got - ref) <= tol), quantity
+
+
+def _band_case(radius, width, *circles) -> Phantom:
+    return validate(Phantom(radius, 1e-3, 1.0, width, tuple(Circle(*c, 1e-4) for c in circles)))
+
+
+# each checked at a 180 degree step (one angle), a 7.2 degree step (an odd
+# sweep of 25) and a 1 degree step
+BAND_EDGE_CASES = {
+    # 0.3 and 0.004 strip widths, centred on edges 17 and 40 at angle 0
+    "narrower_than_a_strip_on_an_edge": _band_case(
+        40.0, 1.0, (-23.0, 0.0, 0.3), (0.0, 0.0, 0.004)
+    ),
+    # at angle 0 the bands clip at the last edge (R) and at edge 0
+    "tangent_to_the_rim_on_both_sides": _band_case(40.0, 1.0, (35.0, 0.0, 5.0), (-35.0, 0.0, 5.0)),
+    # 2R/w = 106.67: the last strip, 1.67 widths, is where the disk touches the rim
+    "remainder_strip": _band_case(40.0, 0.75, (33.5, 0.0, 6.5), (0.0, -30.0, 2.0)),
+    # ceil(2r/w) + 4 = 22 > n + 1 = 21: the band is every edge
+    "band_is_every_edge": _band_case(10.0, 1.0, (0.5, 0.0, 9.0)),
+}
+
+
+class TestBand:
+    """``_sinogram`` integrates each inclusion over a band of edges only; every
+    value must equal the full grid's, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(phantom=band_phantoms(), angle_step=st.sampled_from([1, 7.2, 30, 45, 90, 180]))
+    def test_sinograms_equal_full_grid_bytes(self, phantom, angle_step):
+        for quantity in Quantity:
+            got = compute_sinogram(phantom, angle_step, quantity).data
+            assert got.tobytes() == full_grid_sinogram(phantom, angle_step, quantity).tobytes()
+
+    @pytest.mark.parametrize("angle_step", [180, 7.2, 1])
+    @pytest.mark.parametrize("case", sorted(BAND_EDGE_CASES))
+    def test_band_edge_cases_equal_full_grid_bytes(self, case, angle_step):
+        phantom = BAND_EDGE_CASES[case]
+        for quantity in Quantity:
+            got = compute_sinogram(phantom, angle_step, quantity).data
+            assert got.tobytes() == full_grid_sinogram(phantom, angle_step, quantity).tobytes()
+
+    def test_band_edge_cases_have_their_geometry(self):
+        narrow = BAND_EDGE_CASES["narrower_than_a_strip_on_an_edge"]
+        edges = _edges(narrow.subject_radius, narrow.slice_width)
+        assert all(c.center_x in edges for c in narrow.perturbations)
+        rim = BAND_EDGE_CASES["tangent_to_the_rim_on_both_sides"]
+        assert [abs(c.center_x) + c.radius for c in rim.perturbations] == [rim.subject_radius] * 2
+        remainder = BAND_EDGE_CASES["remainder_strip"]
+        assert slice_bounds(remainder.subject_radius, remainder.slice_width, 105) == (38.75, 40.0)
+        every = BAND_EDGE_CASES["band_is_every_edge"]
+        (c,) = every.perturbations
+        assert math.ceil(2 * c.radius / every.slice_width) + 4 > slice_count(10.0, 1.0) + 1
 
 
 class TestSinogram:
