@@ -26,7 +26,7 @@ EMIT_KINDS = ("sinogram_csv", "target_image", "recon_images", "metrics_json")
 # fixtures/ and the benchmark (at most 320 slices x 180 angles = 57,600
 # sinogram values, and 320^2 pixels x 180 angles = 1.8e7 samples per back
 # projection).  A sinogram at the cap takes 80 MB per quantity.  One back
-# projection holds about 49 bytes per pixel at its peak (tracemalloc, grids
+# projection holds about 48 bytes per pixel at its peak (tracemalloc, grids
 # 400 and 800), so an image at the pixel cap takes about 2 GB; the pixel cap
 # is what bounds a config with few angles.
 MAX_SINOGRAM_VALUES = 10**7  # n_slices x n_angles

@@ -17,26 +17,30 @@ since there t lies on the pixel lattice and nearest's half-way ties follow the
 last bit of cos 90.  Sharing changes the order of the sums, so images match
 earlier releases to rounding level rather than bit for bit.
 
-Large grids are back-projected in row blocks, one thread per usable CPU, in
-buffers the caller allocates once, so memory does not grow with the CPU count.
-A block is a pair of row slabs mirrored about the centre row, and the innermost
-is one slab that is its own mirror, so an add flipped in y stays in the rows of
-the thread that computed it.  Every pixel sees the same operations in the same
-order, so the image is bit-identical for any CPU count.
+Only the inscribed disk is back-projected.  Its pixels are stored once per
+quadrant, in (2, 2, M) buffers that hold M quadrant pixels at their four
+reflections: axis 0 is the column j or N - 1 - j and axis 1 the row i or
+N - 1 - i, so a mirror in x reverses axis 0 and a flip in y reverses axis 1.
+Large disks are split into contiguous chunks of the M pixels, one thread per
+usable CPU, each chunk with buffers of its own.  A reflected add never leaves its
+chunk, so every pixel sees the same operations in the same order, and the image
+is bit-identical for any CPU count.  At the end the accumulators are scattered
+into an image of zeros, the quarter turns at their turned positions, and only
+the pixels in the disk are written.
 """
 
 from __future__ import annotations
 
+import _thread
 import enum
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .projector import Projection, Sinogram
-from .raster import RasterImage, inscribed_mask, normalize_image, pixel_centers
+from .raster import RasterImage, normalize_image, pixel_centers
 
 
 class FrequencyOutOfRange(ValueError):
@@ -186,7 +190,8 @@ def _evaluate(table: np.ndarray, work: np.ndarray, index: np.ndarray) -> np.ndar
     return value
 
 
-# Least pixels a row block gets: two blocks of 2^14 broke even with one (grid 182, 180 angles)
+# Least packed pixels a chunk gets: two chunks of 2^14 broke even with one at grids
+# 192-204 (29,000-33,000 packed pixels), 180 angles, 2 CPUs
 _MIN_BLOCK_PIXELS = 2**14
 
 
@@ -228,111 +233,140 @@ def _groups(angles_deg: tuple[float, ...]) -> list[tuple[int, int | None, int | 
     return groups
 
 
+def _quadrant(size: int, extent: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j, in row-major order, of the quadrant pixels (i, j < (size + 1) / 2)
+    any of whose four reflections (row i or size - 1 - i, column j or size - 1 - j), or their
+    transposes, lies in ``inscribed_mask(size, extent)``.  Pixel centers are not exactly
+    antisymmetric in x, so a reflection may leave or enter the disk; a float sum never
+    decreases as a term grows, so a pixel's nearest reflection decides for all four."""
+    half = (size + 1) // 2
+    xs, ys = pixel_centers(size, extent)
+    x2 = np.minimum(xs[:half] ** 2, xs[::-1][:half] ** 2)
+    y2 = np.minimum(ys[:half] ** 2, ys[::-1][:half] ** 2)
+    inside = x2[None, :] + y2[:, None] <= extent * extent
+    return np.nonzero(inside | inside.T)
+
+
 def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     """Accumulate the (already filtered) sinogram over the pixel grid.
 
     Pixel centers span [-R, R]^2; each angle contributes its sampled column
-    times d_theta = pi / n_angles, and pixels outside the inscribed circle
-    are zeroed, which covers every pixel with |s| > R.  Each group of angles
-    (see :func:`_groups`: a sweep's partners sit at fixed offsets, and other angle
-    lists share less) shares one lateral grid: the mirror is added reversed
-    in x, and the two quarter turns go into a second accumulator, the flipped one
-    reversed in y, which is turned a quarter and added once at the end; angles with no
-    quarter turns, as in a sweep of an odd number of them, get no such accumulator.  Grids of
-    at least 2 * _MIN_BLOCK_PIXELS pixels are split across the usable CPUs into
-    blocks of rows closed under the flip in y; the image is bit-identical for any
-    number of them.
+    times d_theta = pi / n_angles at the pixels inside the inscribed circle, and
+    every other pixel is 0, which covers every pixel with |s| > R.  Only the disk is
+    back-projected, one quadrant pixel (see :func:`_quadrant`) with its reflections in x
+    and y at a time: buffers are (2, 2, M), axis 0 the column j or size - 1 - j and axis 1
+    the row i or size - 1 - i.  Each group of angles (see :func:`_groups`: a sweep's
+    partners sit at fixed offsets, and other angle lists share less) shares one lateral
+    grid: the mirror is added reversed on axis 0, and the two quarter turns go into a
+    second accumulator, the flipped one reversed on axis 1, which lands on the image turned
+    a quarter at the end; angles with no quarter turns, as in a sweep of an odd number of
+    them, get no such accumulator.  When the buffers hold at least 2 * _MIN_BLOCK_PIXELS
+    pixels, the M quadrant pixels are split across the usable CPUs into contiguous chunks
+    with buffers of their own; a reflected add stays in its chunk, so the image is
+    bit-identical for any number of them.
     """
     if sino.data.size == 0 or sino.n_angles == 0:
         raise EmptySinogram("sinogram has no data")
     size = config.grid_size
-    r = sino.subject_radius
+    r, w = sino.subject_radius, sino.slice_width
     xs, ys = pixel_centers(size, r)
     tables = _pieces(sino.data.T, config.interp)
     groups = [
         (math.radians(sino.angles_deg[g[0]]), *(None if i is None else tables[i] for i in g))
         for g in _groups(sino.angles_deg)
     ]
+    # a sweep with no quarter turns needs no accumulator for them
+    turns = any(turned is not None or flipped is not None for *_, turned, flipped in groups)
+    rows, cols = _quadrant(size, r)
 
-    acc = np.zeros((size, size))
-    # the quarter turns, turned into acc at the end; a sweep with none needs no grid for them
-    quarter = None
-    if any(turned is not None or flipped is not None for *_, turned, flipped in groups):
-        quarter = np.zeros((size, size))
-    # grid^2 buffers allocated once and shared out as row views: fresh ones per
-    # angle or per thread cost more in page faults and memory
-    work = np.empty((3, size, size))
-    index = np.empty((size, size), dtype=int)
-
-    def accumulate(rows: slice, parts: list[tuple[slice, slice, slice]]) -> None:
-        """Back-project one block: ``rows`` of the work buffers, split into ``parts``, each
-        (its image rows, its rows of the block, the image rows it lands on flipped in y)."""
-        block_work, block_index = work[:, rows], index[rows]
-        t, value, spare = block_work  # _evaluate's scratch is spare between calls
-        y = np.concatenate([ys[image] for image, _, _ in parts])[:, None]
-        # broadcast and reversed operands go through copies: a ufunc reading one
-        # allocates a buffer, in every thread at once
+    def accumulate(chunk: slice) -> tuple[np.ndarray, np.ndarray | None]:
+        """Back-project the quadrant pixels in ``chunk``: the accumulator and the quarter
+        turns' accumulator, each (2, 2, pixels in the chunk)."""
+        x = xs[np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]]
+        y = ys[np.stack((rows[chunk], size - 1 - rows[chunk]))[None]]
+        shape = (2, 2, x.shape[2])
+        acc = np.zeros(shape)
+        quarter = np.zeros(shape) if turns else None
+        # _evaluate's scratch is spare between calls
+        work = t, value, spare = [np.empty(shape) for _ in range(3)]
+        index = np.empty(shape, dtype=int)
         for th, table, mirror, turned, flipped in groups:
-            np.copyto(t, xs * math.cos(th))
-            np.copyto(spare, y * math.sin(th))
+            np.multiply(x, math.cos(th), out=t)
+            np.multiply(y, math.sin(th), out=spare)
             t += spare
             t += r
-            t -= sino.slice_width / 2.0
-            t /= sino.slice_width
-            _interpolate(table, config.interp, block_work, block_index)
-            for image, at, _ in parts:
-                acc[image] += value[at]
+            t -= w / 2.0
+            t /= w
+            _interpolate(table, config.interp, work, index)
+            acc += value
             if mirror is not None:  # t at 180 - theta is t at theta mirrored in x
-                _evaluate(mirror, block_work, block_index)
-                np.copyto(spare, value[:, ::-1])
-                for image, at, _ in parts:
-                    acc[image] += spare[at]
+                _evaluate(mirror, work, index)
+                acc[::-1] += value
             if turned is not None:  # t at theta + 90 is t at theta turned a quarter
-                _evaluate(turned, block_work, block_index)
-                for image, at, _ in parts:
-                    quarter[image] += value[at]
+                _evaluate(turned, work, index)
+                quarter += value
             if flipped is not None:  # t at 90 - theta is that turn flipped in y
-                _evaluate(flipped, block_work, block_index)
-                for _, at, flip in parts:
-                    np.copyto(spare[at], value[at][::-1])
-                    quarter[flip] += spare[at]
+                _evaluate(flipped, work, index)
+                quarter[:, ::-1] += value
+        return acc, quarter
 
-    # Block i is the image rows [e_i, e_i+1) and their flip in y, on the work rows from
-    # 2 e_i; the innermost block is one slab that is its own flip.  A flipped add thus
-    # stays in its block, and each pixel sees the same operations for any block count.
-    n = max(1, min(_usable_cpus(), size * size // _MIN_BLOCK_PIXELS))
-    edges = [size // 2 * i // n for i in range(n + 1)]
-    blocks = []
-    for a, b in zip(edges, edges[1:]):
-        parts, at = [], 0
-        for lo, hi in [(a, b), (size - b, size - a)] if b < edges[-1] else [(a, size - a)]:
-            parts.append((slice(lo, hi), slice(at, at + hi - lo), slice(size - hi, size - lo)))
-            at += hi - lo
-        blocks.append((slice(2 * a, 2 * a + at), parts))
+    n = max(1, min(_usable_cpus(), 4 * len(rows) // _MIN_BLOCK_PIXELS))
+    edges = [len(rows) * k // n for k in range(n + 1)]
+    chunks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    results: list = [None] * n  # each chunk's accumulator and quarter turns' accumulator
     errors: list[BaseException] = []
 
-    def run_block(rows: slice, parts: list[tuple[slice, slice, slice]]) -> None:
+    def run_chunk(k: int, done: _thread.LockType) -> None:
         try:
-            accumulate(rows, parts)
+            results[k] = accumulate(chunks[k])
         except BaseException as e:  # re-raised in the caller below
             errors.append(e)
+        finally:
+            done.release()
 
-    threads = [threading.Thread(target=run_block, args=block) for block in blocks[1:]]
-    for thread in threads:
-        thread.start()
+    # started with _thread, not threading: a Thread object's bookkeeping, about 3 KiB,
+    # would be most of what a chunk adds to the peak
+    running = [_thread.allocate_lock() for _ in range(1, n)]
+    for k, done in enumerate(running, 1):
+        done.acquire()
+        _thread.start_new_thread(run_chunk, (k, done))
     try:
-        accumulate(*blocks[0])
+        results[0] = accumulate(chunks[0])
     finally:
-        for thread in threads:
-            thread.join()
+        for done in running:
+            done.acquire()  # released when its chunk's thread is done
     if errors:
         raise errors[0]
-    if quarter is not None:
-        acc += np.rot90(quarter)
-        del quarter  # before the mask, which adds 9 bytes a pixel to acc, work and index: the peak
-    acc *= math.pi / sino.n_angles
-    acc[~inscribed_mask(size, r)] = 0.0
-    return RasterImage(acc, r)
+
+    def disk(k: int, turned: bool):
+        """Chunk k's flat image positions and values, of its accumulator or of its quarter
+        turns' accumulator turned a quarter, at the pixels in the disk."""
+        i, j = rows[chunks[k]], cols[chunks[k]]
+        planes = results[k][turned]
+        for a, col in enumerate((j, size - 1 - j)):
+            for b, row in enumerate((i, size - 1 - i)):
+                # np.rot90 moves the quarter turns' pixel (row, col) to (size - 1 - col, row)
+                p, q = (size - 1 - col, row) if turned else (row, col)
+                inside = xs[q] ** 2 + ys[p] ** 2 <= r * r  # as inscribed_mask
+                if a:  # an odd grid's middle column is its own reflection: written once
+                    inside &= col != j
+                if b:  # and so is its middle row
+                    inside &= row != i
+                yield p[inside] * size + q[inside], planes[a, b][inside]
+
+    # the quarter turns land on pixels of other chunks, so they are added after every
+    # chunk's accumulator is in place
+    image = np.zeros((size, size))
+    flat = image.reshape(-1)
+    for k in range(n):
+        for at, values in disk(k, False):
+            flat[at] = values
+    if turns:
+        for k in range(n):
+            for at, values in disk(k, True):
+                flat[at] += values
+    image *= math.pi / sino.n_angles
+    return RasterImage(image, r)
 
 
 def reconstruct(sino: Sinogram, config: ReconConfig) -> RasterImage:

@@ -1,6 +1,7 @@
 """Shared test utilities: correlation, blob extraction, random phantoms, the
-scalar strip geometry kept as an independent reference for the projector, and
-the full-grid sinogram that the projector's bands must equal bit for bit."""
+scalar strip geometry kept as an independent reference for the projector, the
+full-grid sinogram that the projector's bands must equal bit for bit, and the
+full-grid back projection that the disk layout must equal bit for bit."""
 
 from __future__ import annotations
 
@@ -16,12 +17,15 @@ from eit_fbp import (
     Phantom,
     Quantity,
     RasterImage,
+    ReconConfig,
+    Sinogram,
     inscribed_mask,
     pixel_centers,
     slice_count,
     sweep_angles,
     validate,
 )
+from eit_fbp.fbp import _evaluate, _groups, _interpolate, _pieces
 from eit_fbp.phantom import _strip_areas
 from eit_fbp.projector import _edges
 
@@ -198,3 +202,63 @@ def full_grid_sinogram(phantom: Phantom, angle_step: float, quantity: Quantity) 
     if quantity is Quantity.CONDUCTANCE:
         return np.divide(total, phantom.depth, out=total)
     return np.divide(total, subject, out=np.zeros_like(total), where=subject != 0.0)
+
+
+# Like full_grid_sinogram, this shares the piece tables, the groups and the
+# interpolation with the code it checks: it checks the disk layout, not the
+# interpolation, which test_fbp's tap-by-tap reference covers.
+
+
+def full_grid_back_project(sino: Sinogram, config: ReconConfig) -> np.ndarray:
+    """Back projection at every pixel of the grid, masked to the disk at the end: the
+    row-block design that the disk layout replaced, as its single block.
+
+    The same float operations in the same order at every pixel as
+    ``fbp.back_project``: tests compare the two byte for byte, so a layout that
+    missed a disk pixel, wrote one outside the disk or changed one value's
+    rounding shows.
+    """
+    size, r, w = config.grid_size, sino.subject_radius, sino.slice_width
+    xs, ys = pixel_centers(size, r)
+    tables = _pieces(sino.data.T, config.interp)
+    groups = _groups(sino.angles_deg)
+    acc = np.zeros((size, size))
+    quarter = None
+    if any(turned is not None or flipped is not None for *_, turned, flipped in groups):
+        quarter = np.zeros((size, size))
+    work = np.empty((3, size, size))
+    index = np.empty((size, size), dtype=int)
+    t, value, spare = work
+    for lead, mirror, turned, flipped in groups:
+        th = math.radians(sino.angles_deg[lead])
+        np.copyto(t, xs * math.cos(th))
+        np.copyto(spare, ys[:, None] * math.sin(th))
+        t += spare
+        t += r
+        t -= w / 2.0
+        t /= w
+        _interpolate(tables[lead], config.interp, work, index)
+        acc += value
+        if mirror is not None:
+            _evaluate(tables[mirror], work, index)
+            acc += value[:, ::-1]
+        if turned is not None:
+            _evaluate(tables[turned], work, index)
+            quarter += value
+        if flipped is not None:
+            _evaluate(tables[flipped], work, index)
+            quarter += value[::-1]
+    if quarter is not None:
+        acc += np.rot90(quarter)
+    acc *= math.pi / sino.n_angles
+    acc[~inscribed_mask(size, r)] = 0.0
+    return acc
+
+
+def packed_pixels(size: int, extent: float) -> int:
+    """How many pixels back projection packs: four per quadrant pixel that has one of
+    its reflections in x and y, or one of their transposes, in the disk."""
+    mask = inscribed_mask(size, extent)
+    mask = mask | mask[::-1] | mask[:, ::-1] | mask[::-1, ::-1]
+    half = (size + 1) // 2
+    return 4 * int((mask | mask.T)[:half, :half].sum())

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import top_decile_centroid
+from _helpers import full_grid_back_project, packed_pixels, top_decile_centroid
 from eit_fbp import (
     Circle,
     EmptySinogram,
@@ -527,7 +528,7 @@ class TestGroups:
 class TestMirrorPairs:
     """Each whole group, an angle with its mirror 180 - angle and their quarter turns,
     shares one lateral grid: t is computed once per group, in the one ``_interpolate`` call
-    per group that a spy counts."""
+    per group that a spy counts, over every packed pixel of the disk."""
 
     @pytest.fixture
     def t_computations(self, monkeypatch):
@@ -535,7 +536,7 @@ class TestMirrorPairs:
         interpolate = fbp._interpolate
 
         def spy(table, interp, work, index):
-            calls.append(index.shape[0])
+            calls.append(index.size)
             return interpolate(table, interp, work, index)
 
         monkeypatch.setattr(fbp, "_interpolate", spy)
@@ -545,9 +546,9 @@ class TestMirrorPairs:
     def check(angles, kind, expected_calls, calls):
         data = np.random.default_rng(len(angles)).standard_normal((45, len(angles)))
         sino = make_sinogram(data, angles, radius=37.0, width=74.0 / 45.3)
-        cfg = ReconConfig(FilterKind.NONE, kind, 33)  # one block
+        cfg = ReconConfig(FilterKind.NONE, kind, 33)  # one chunk
         got = back_project(sino, cfg).pixels
-        assert calls == [33] * expected_calls
+        assert calls == [packed_pixels(33, 37.0)] * expected_calls
         expected = reference_back_project(sino, cfg)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
@@ -582,9 +583,48 @@ class TestMirrorPairs:
         self.check(angles, kind, 5, t_computations)
 
 
+# The angle lists of TestMirrorPairs that are not sweeps: partial groups, lone angles and
+# repeats
+PARTIAL_GROUPS = [
+    tuple(157.500001 if k == 7 else a for k, a in enumerate(sweep_angles(22.5))),
+    tuple(
+        {7: 157.500001, 5: 112.500002, 3: 67.499999}.get(k, a)
+        for k, a in enumerate(sweep_angles(22.5))
+    ),
+    (30.0, 45.0, 45.0, 90.0, 90.0, 150.0, 150.0),
+]
+
+
+class TestDiskLayout:
+    """Back projection over the disk's quadrant pixels, packed with their reflections and
+    split into chunks, writes the same bytes as the full-grid back projection it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sino=sinograms(
+            st.one_of(
+                st.sampled_from(SWEEP_STEPS).map(sweep_angles),
+                st.sampled_from(PARTIAL_GROUPS),
+                st.lists(st.floats(0.0, 180.0, exclude_max=True), min_size=1, max_size=20),
+            )
+        ),
+        size=st.one_of(st.sampled_from([2, 3, 7, 10, 11, 64, 257]), st.integers(2, 70)),
+        kind=st.sampled_from(list(InterpKind)),
+        cpus=st.sampled_from([1, 2, 3, 5]),
+    )
+    def test_bytes_equal_full_grid(self, sino, size, kind, cpus):
+        cfg = ReconConfig(FilterKind.NONE, kind, size)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fbp, "_usable_cpus", lambda: cpus)
+            patch.setattr(fbp, "_MIN_BLOCK_PIXELS", 16)
+            got = back_project(sino, cfg).pixels
+        assert got.tobytes() == full_grid_back_project(sino, cfg).tobytes()
+
+
 class TestRowBlocks:
-    """Grids of at least 2 * _MIN_BLOCK_PIXELS pixels are back-projected in row blocks, one
-    thread each; the CPU count is patched so every case splits on any machine."""
+    """When the disk packs at least 2 * _MIN_BLOCK_PIXELS pixels, its quadrant pixels are
+    back-projected in contiguous chunks, one thread each; the CPU count is patched so every
+    case splits on any machine.  (Row blocks were the design before the disk layout.)"""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -595,7 +635,7 @@ class TestRowBlocks:
 
     @pytest.fixture
     def fast_switching(self):
-        """Threads switch every microsecond, so blocks interleave as finely as they can."""
+        """Threads switch every microsecond, so chunks interleave as finely as they can."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         yield
@@ -604,11 +644,11 @@ class TestRowBlocks:
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_bit_equal_across_cpu_counts(self, kind, cpus, monkeypatch, fast_switching):
         monkeypatch.setattr(fbp, "_MIN_BLOCK_PIXELS", 16)
-        heights = []
+        packed = []
         interpolate = fbp._interpolate
 
         def spy(table, interp, work, index):
-            heights.append(index.shape[0])
+            packed.append(index.size)
             return interpolate(table, interp, work, index)
 
         monkeypatch.setattr(fbp, "_interpolate", spy)
@@ -622,24 +662,26 @@ class TestRowBlocks:
         data = np.random.default_rng(9).standard_normal((45, 18))
         tens = make_sinogram(data, sweep_angles(10.0), radius=37.0, width=74.0 / 45.3)
         for sino, calls in ((three, 3), (sweep, 4), (tens, 6)):
-            # odd grids put a row that is its own flip in the innermost block; grid 7 has
-            # pixels for only 3 blocks; 257 rows divide among none of 2, 3 or 5 blocks
+            # odd grids have a middle row and column that are their own reflections; grid
+            # 7's disk packs pixels for only 3 chunks; grid 257's 13,101 quadrant pixels
+            # divide evenly among none of 2 or 5 chunks
             for size in (7, 10, 11, 64, 257):
                 cfg = ReconConfig(FilterKind.NONE, kind, size)
                 cpus(1)
                 single = back_project(sino, cfg).pixels
+                pixels = packed_pixels(size, 37.0)
                 for n in (2, 3, 5):
                     cpus(n)
-                    heights.clear()
+                    packed.clear()
                     np.testing.assert_array_equal(back_project(sino, cfg).pixels, single)
-                    n_blocks = min(n, size * size // 16)
-                    assert len(heights) == calls * n_blocks and sum(heights) == calls * size
+                    n_chunks = min(n, pixels // 16)
+                    assert len(packed) == calls * n_chunks and sum(packed) == calls * pixels
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_split_matches_reference(self, kind, cpus):
         cpus(3)
-        size = 200  # two blocks at the real _MIN_BLOCK_PIXELS
-        assert size * size // fbp._MIN_BLOCK_PIXELS == 2
+        size = 210  # two chunks at the real _MIN_BLOCK_PIXELS
+        assert packed_pixels(size, 40.0) // fbp._MIN_BLOCK_PIXELS == 2
         data = np.random.default_rng(11).standard_normal((60, 3))
         sino = make_sinogram(data, (0.0, 33.0, 101.0), radius=40.0, width=80.0 / 60.4)
         cfg = ReconConfig(FilterKind.NONE, kind, size)
@@ -647,43 +689,47 @@ class TestRowBlocks:
         got = back_project(sino, cfg).pixels
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
 
-    # grid 81 in two blocks: rows 0-19 and 61-80 in the caller, rows 20-60 in a worker
-    # thread; a failure in the caller's block must still join the worker before it is raised
-    @pytest.mark.parametrize("failing_rows", [40, 41], ids=["caller_block", "worker_block"])
-    def test_worker_failure_reaches_caller(
-        self, cpus, monkeypatch, fixtures_dir, tmp_path, failing_rows
-    ):
+    # grid 81 in two chunks, one in the caller and one in a worker thread; a failure in the
+    # caller's chunk must still wait for the worker's chunk before it is raised
+    @pytest.mark.parametrize("failing", ["caller", "worker"], ids=["caller_block", "worker_block"])
+    def test_worker_failure_reaches_caller(self, cpus, monkeypatch, fixtures_dir, tmp_path, failing):
         cpus(2)
         monkeypatch.setattr(fbp, "_MIN_BLOCK_PIXELS", 16)
         interpolate = fbp._interpolate
+        caller = threading.get_ident()
+        finished = []
 
-        def fail_in_one_block(table, interp, work, index):
-            if index.shape[0] == failing_rows:
-                raise RuntimeError("injected block failure")
-            return interpolate(table, interp, work, index)
+        def fail_in_one_chunk(table, interp, work, index):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError("injected chunk failure")
+            time.sleep(0.02)  # so a chunk that is not waited for is still running
+            value = interpolate(table, interp, work, index)
+            finished.append(index.size)
+            return value
 
-        monkeypatch.setattr(fbp, "_interpolate", fail_in_one_block)
-        sino = make_sinogram(np.ones((20, 2)), (0.0, 90.0))
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="injected block failure"):
+        monkeypatch.setattr(fbp, "_interpolate", fail_in_one_chunk)
+        sino = make_sinogram(np.ones((20, 2)), (0.0, 90.0))  # two groups: 0 and 90
+        with pytest.raises(RuntimeError, match="injected chunk failure"):
             back_project(sino, ReconConfig(FilterKind.NONE, InterpKind.LINEAR, 81))
-        assert threading.active_count() == before
+        assert len(finished) == 2  # the other chunk ran both groups before the error came
 
+        finished.clear()
         cfg = parse_config(fixtures_dir / "one_perturbation_q10.json")
         cfg = replace(
             cfg,
             recon=tuple(replace(rc, grid_size=81) for rc in cfg.recon),
             output_dir=str(tmp_path / "out"),
         )
-        with pytest.raises(RuntimeError, match="injected block failure"):
+        with pytest.raises(RuntimeError, match="injected chunk failure"):
             run_pipeline(cfg)
-        assert "injected block failure" in (tmp_path / "out" / "INCOMPLETE").read_text()
-        assert threading.active_count() == before
+        assert "injected chunk failure" in (tmp_path / "out" / "INCOMPLETE").read_text()
+        assert len(finished) == len(fbp._groups(sweep_angles(cfg.angle_step)))
 
     @staticmethod
     def check_memory(angles, kind, cpus):
-        # config.MAX_RECON_PIXELS is sized from 49 bytes a pixel; the rest, a few
-        # per-thread KiB and O(grid) vectors, does not grow with grid^2
+        # config.MAX_RECON_PIXELS is sized from 48 bytes a pixel: 60 for each packed
+        # pixel, about 0.79 of them a pixel; the rest, a few per-thread KiB and O(grid)
+        # vectors, does not grow with grid^2
         size = 400
         data = np.random.default_rng(3).standard_normal((40, len(angles)))
         sino = make_sinogram(data, angles, width=2.0)
@@ -701,7 +747,7 @@ class TestRowBlocks:
 
         single, split = peak(1), peak(4)
         assert split <= single + 3 * 4096  # 4 KiB per extra thread
-        assert split <= 49 * size * size + 48 * 1024
+        assert split <= 48 * size * size + 48 * 1024
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_memory_does_not_grow_with_blocks(self, kind, cpus):
