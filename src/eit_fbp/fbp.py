@@ -234,17 +234,19 @@ def _groups(angles_deg: tuple[float, ...]) -> list[tuple[int, int | None, int | 
 
 
 def _quadrant(size: int, extent: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows i and columns j, in row-major order, of the quadrant pixels (i, j < (size + 1) / 2)
-    any of whose four reflections (row i or size - 1 - i, column j or size - 1 - j), or their
-    transposes, lies in ``inscribed_mask(size, extent)``.  Pixel centers are not exactly
-    antisymmetric in x, so a reflection may leave or enter the disk; a float sum never
-    decreases as a term grows, so a pixel's nearest reflection decides for all four."""
+    """Rows and columns, in row-major order, of the pixels of ``inscribed_mask(size, extent)``
+    in its top-left quadrant, rows and columns below (size + 1) / 2.
+
+    The disk is exactly symmetric under both reflections and the transpose, although the
+    pixel centers are not exactly antisymmetric: a center's x^2 + y^2 is R^2 times the
+    integer (2j + 1 - size)^2 + (2i + 1 - size)^2 over size^2, and that integer differs
+    from size^2 in parity mod 4, so it misses R^2 by at least R^2 / size^2, far more than
+    rounding below a grid of 10^7.  So these pixels with their four reflections are the
+    disk.
+    """
     half = (size + 1) // 2
     xs, ys = pixel_centers(size, extent)
-    x2 = np.minimum(xs[:half] ** 2, xs[::-1][:half] ** 2)
-    y2 = np.minimum(ys[:half] ** 2, ys[::-1][:half] ** 2)
-    inside = x2[None, :] + y2[:, None] <= extent * extent
-    return np.nonzero(inside | inside.T)
+    return np.nonzero(xs[:half] ** 2 + ys[:half, None] ** 2 <= extent * extent)
 
 
 def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
@@ -340,19 +342,18 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
 
     def disk(k: int, turned: bool):
         """Chunk k's flat image positions and values, of its accumulator or of its quarter
-        turns' accumulator turned a quarter, at the pixels in the disk."""
+        turns' accumulator turned a quarter."""
         i, j = rows[chunks[k]], cols[chunks[k]]
         planes = results[k][turned]
         for a, col in enumerate((j, size - 1 - j)):
             for b, row in enumerate((i, size - 1 - i)):
                 # np.rot90 moves the quarter turns' pixel (row, col) to (size - 1 - col, row)
                 p, q = (size - 1 - col, row) if turned else (row, col)
-                inside = xs[q] ** 2 + ys[p] ** 2 <= r * r  # as inscribed_mask
-                if a:  # an odd grid's middle column is its own reflection: written once
-                    inside &= col != j
-                if b:  # and so is its middle row
-                    inside &= row != i
-                yield p[inside] * size + q[inside], planes[a, b][inside]
+                at, values = p * size + q, planes[a, b]
+                if size % 2 and (a or b):  # an odd grid's middle row and column: once each
+                    once = ((a == 0) | (col != j)) & ((b == 0) | (row != i))
+                    at, values = at[once], values[once]
+                yield at, values
 
     # the quarter turns land on pixels of other chunks, so they are added after every
     # chunk's accumulator is in place
