@@ -238,11 +238,11 @@ def _quadrant(size: int, extent: float) -> tuple[np.ndarray, np.ndarray]:
     in its top-left quadrant, rows and columns below (size + 1) / 2.
 
     The disk is exactly symmetric under both reflections and the transpose, although the
-    pixel centers are not exactly antisymmetric: a center's x^2 + y^2 is R^2 times the
-    integer (2j + 1 - size)^2 + (2i + 1 - size)^2 over size^2, and that integer differs
-    from size^2 in parity mod 4, so it misses R^2 by at least R^2 / size^2, far more than
-    rounding below a grid of 10^7.  So these pixels with their four reflections are the
-    disk.
+    pixel centers are not exactly antisymmetric: a center's x^2 + y^2 is
+    R^2 (a^2 + b^2) / size^2 with a = 2j + 1 - size and b = 2i + 1 - size, and a^2 + b^2
+    is never size^2 (mod 4 it is 2 where size^2 is 0, and 0 where size^2 is 1), so it
+    misses R^2 by at least R^2 / size^2, far more than rounding below a grid of 10^7.  So
+    these pixels with their four reflections are the disk.
     """
     half = (size + 1) // 2
     xs, ys = pixel_centers(size, extent)
