@@ -255,9 +255,9 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     Pixel centers span [-R, R]^2; each angle contributes its sampled column
     times d_theta = pi / n_angles at the pixels inside the inscribed circle, and
     every other pixel is 0, which covers every pixel with |s| > R.  Only the disk is
-    back-projected, one quadrant pixel (see :func:`_quadrant`) with its reflections in x
-    and y at a time: buffers are (2, 2, M), axis 0 the column j or size - 1 - j and axis 1
-    the row i or size - 1 - i.  Each group of angles (see :func:`_groups`: a sweep's
+    back-projected: each of the M pixels of its top-left quadrant (see :func:`_quadrant`)
+    is stored with its reflections in x and y, in (2, 2, M) buffers whose axis 0 is the
+    column j or size - 1 - j and axis 1 the row i or size - 1 - i.  Each group of angles (see :func:`_groups`: a sweep's
     partners sit at fixed offsets, and other angle lists share less) shares one lateral
     grid: the mirror is added reversed on axis 0, and the two quarter turns go into a
     second accumulator, the flipped one reversed on axis 1, which lands on the image turned
@@ -350,7 +350,8 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
                 # np.rot90 moves the quarter turns' pixel (row, col) to (size - 1 - col, row)
                 p, q = (size - 1 - col, row) if turned else (row, col)
                 at, values = p * size + q, planes[a, b]
-                if size % 2 and (a or b):  # an odd grid's middle row and column: once each
+                # an odd grid's middle row and column are their own reflections: once each
+                if size % 2 and (a or b):
                     once = ((a == 0) | (col != j)) & ((b == 0) | (row != i))
                     at, values = at[once], values[once]
                 yield at, values
