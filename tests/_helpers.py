@@ -1,7 +1,8 @@
 """Shared test utilities: correlation, blob extraction, random phantoms, the
 scalar strip geometry kept as an independent reference for the projector, the
-full-grid sinogram that the projector's bands must equal bit for bit, and the
-full-grid back projection that the disk layout must equal bit for bit."""
+full-grid sinogram that the projector's bands must equal bit for bit, the
+full-grid back projection that the disk layout must equal bit for bit, and the
+one-call filter that the column blocks must equal bit for bit."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import numpy as np
 
 from eit_fbp import (
     Circle,
+    FilterKind,
     IndexOutOfRange,
     NonPositiveRadius,
     Phantom,
@@ -25,7 +27,7 @@ from eit_fbp import (
     sweep_angles,
     validate,
 )
-from eit_fbp.fbp import _evaluate, _groups, _interpolate, _pieces
+from eit_fbp.fbp import _evaluate, _gains, _groups, _interpolate, _pieces
 from eit_fbp.phantom import _strip_areas
 from eit_fbp.projector import _edges
 
@@ -253,6 +255,22 @@ def full_grid_back_project(sino: Sinogram, config: ReconConfig) -> np.ndarray:
     acc *= math.pi / sino.n_angles
     acc[~inscribed_mask(size, r)] = 0.0
     return acc
+
+
+def one_call_filter(values: np.ndarray, kind: FilterKind) -> np.ndarray:
+    """Every column of ``values`` filtered by one ``rfft``/``irfft`` pair: the
+    design that the column blocks replaced.
+
+    The same float operations on every column as ``fbp._filter``: tests compare
+    the two byte for byte, so a block that skipped a column, overlapped its
+    neighbour or changed one value's rounding shows.
+    """
+    n = values.shape[0]
+    padded_len = 1 << max(2 * n - 1, 1).bit_length()
+    spectrum = np.fft.rfft(values, n=padded_len, axis=0)
+    half = padded_len // 2
+    spectrum *= _gains(kind, np.arange(half + 1) / half)[:, None]
+    return np.fft.irfft(spectrum, n=padded_len, axis=0)[:n].copy()
 
 
 def packed_pixels(size: int, extent: float) -> int:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import full_grid_back_project, packed_pixels, top_decile_centroid
+from _helpers import full_grid_back_project, one_call_filter, packed_pixels, top_decile_centroid
 from eit_fbp import (
     Circle,
     EmptySinogram,
@@ -183,6 +183,54 @@ class TestFilterProjection:
         out = filter_projection(p, FilterKind.HANN)
         assert out.angle_deg == 35.0
         assert out.quantity is p.quantity
+
+
+# a single column, a single slice, and odd column counts; forward_heavy's 320 slices
+# pad to 1024, so its blocks are 32 columns wide and 181 columns end in a short block
+FILTER_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.integers(1, 400), st.just(1)),
+    st.tuples(st.just(1), st.integers(1, 400)),
+    st.tuples(st.integers(1, 400), st.integers(1, 200).map(lambda m: 2 * m + 1)),
+    st.just((320, 181)),
+)
+
+
+class TestFilterBlocks:
+    """Filtering in blocks of columns writes the same bytes as one FFT over all of them."""
+
+    # None keeps the block budget; 1 makes every column a block of its own; 2**9
+    # gives blocks of 64 columns at 4 slices, 2 at 100 and 1 from 129 on
+    @pytest.mark.parametrize("budget", [None, 1, 2**9])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=FILTER_SHAPES,
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(list(FilterKind)),
+    )
+    def test_bytes_equal_one_call(self, budget, shape, seed, kind):
+        values = np.random.default_rng(seed).standard_normal(shape)
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(fbp, "_FILTER_BLOCK_VALUES", budget)
+            got = _filter(values, kind)
+        assert got.shape == values.shape
+        assert got.tobytes() == one_call_filter(values, kind).tobytes()
+
+    @pytest.mark.parametrize("n, width", [(1, 2**14), (80, 128), (320, 32), (1280, 8), (20000, 1)])
+    def test_block_width_follows_padded_length(self, n, width):
+        # each block's padded output stays within the budget: 256 KB of float64
+        calls = []
+        rfft = np.fft.rfft
+
+        def spy(a, n, axis):
+            calls.append(a.shape[1])
+            return rfft(a, n=n, axis=axis)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.fft, "rfft", spy)
+            _filter(np.ones((n, 2 * width + 1)), FilterKind.RAM_LAK)
+        assert calls == [width, width, 1]
 
 
 def _taps(padded: np.ndarray, idx: np.ndarray) -> np.ndarray:

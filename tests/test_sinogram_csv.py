@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from eit_fbp import Quantity, Sinogram, compute_sinogram, parse_config, run_pipeline
-from eit_fbp.pipeline import QUANTITY_SHORT, _e17_rows, sinogram_csv_text
+from eit_fbp.pipeline import QUANTITY_SHORT, _csv_block_rows, _e17_rows, sinogram_csv_text
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -61,6 +61,24 @@ BOUNDARIES = [
     *neighbours(2.0**53),
     *ties(),
 ]
+
+def group_edges() -> list[int]:
+    """Exact integers below 2**53 with runs of 0s or 9s on both sides of the
+    edges between the encoder's 6-digit groups (digits 6|7 and 12|13).
+
+    Fifteen digits fill the first two groups and half the third, sixteen leave
+    it two trailing zeros; 2**53 keeps a sixteen-digit value's first group below 900720.
+    """
+    out = []
+    for first in ("100000", "999999", "800000", "899999"):
+        for second in ("000000", "999999"):
+            for third in ("000", "999", "0000", "9999"):
+                x = int(first + second + third)
+                if x < 2**53:
+                    out.append(x)
+    return out
+
+
 FALLBACK = [0.0, -0.0, -1.0, -2.5e-7, -1e300, 5e-324, 2.2250738585072014e-308, 1e-6, 1e17, 1e300]
 
 
@@ -107,6 +125,11 @@ class TestEncoder:
             directions.add(int(digits) - math.floor(scaled))
         assert directions == {0, 1}  # some ties round down, some up
 
+    @pytest.mark.parametrize("x", group_edges())
+    def test_runs_across_digit_groups(self, x):
+        assert float(x) == x
+        assert _e17_rows(np.array([[float(x)]])) == ("%.17e\n" % x).encode("ascii")
+
     @pytest.mark.parametrize("x", FALLBACK, ids=repr)
     def test_value_outside_the_range_falls_back(self, x):
         expected = "0.0,1.0\n" + "%.17e,%.17e\n" % (1.0, x)
@@ -121,13 +144,24 @@ class TestSinogramCsv:
             sino = compute_sinogram(cfg.phantom, cfg.angle_step, quantity)
             assert sinogram_csv_text(sino) == per_row(sino)
 
-    def test_rows_mixing_fast_and_fallback(self):
+    @pytest.mark.parametrize("n_angles", [9, 180])
+    def test_rows_mixing_fast_and_fallback(self, n_angles):
         rng = np.random.default_rng(7)
-        data = 10.0 ** rng.uniform(-5, 17, size=(70, 9))
+        rows = _csv_block_rows(n_angles)
+        data = 10.0 ** rng.uniform(-5, 17, size=(3 * rows + 5, n_angles))
         data = np.clip(data, 1e-5, 9e16)
-        # fallback rows inside a block, at block edges, and a run of them
-        for row, value in [(0, 0.0), (15, -3.0), (16, 1e17), (17, 5e-324), (40, -0.0), (69, 1e200)]:
-            data[row, row % 9] = value
+        # fallback rows inside a block, at block edges, a run of them, and the last
+        fallback = [
+            (0, 0.0),
+            (rows // 2, -0.0),
+            (rows - 1, -3.0),
+            (rows, 1e17),
+            (rows + 1, 5e-324),
+            *((row, -1.0) for row in range(2 * rows - 2, 2 * rows + 3)),
+            (3 * rows + 4, 1e200),
+        ]
+        for row, value in fallback:
+            data[row, row % n_angles] = value
         sino = sinogram(data)
         assert sinogram_csv_text(sino) == per_row(sino)
 
