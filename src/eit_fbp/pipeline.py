@@ -125,12 +125,12 @@ def _e17_rows(block: np.ndarray) -> bytes:
     # the 18 digits as three 6-digit groups, which int32 divides several times
     # faster than int64; round j peels the last digit of every group into rows
     # 6 - j, 12 - j and 18 - j, and the leading digits land in rows 0, 7 and 13
-    top = n // 10**12
-    n -= top * 10**12
     groups = np.empty((3, v.size), np.int32)
-    groups[0] = top
+    groups[0] = n // 10**12
+    n -= groups[0] * np.int64(10**12)
     groups[1] = n // 10**6
-    groups[2] = n - groups[1] * np.int64(10**6)
+    n -= groups[1] * np.int64(10**6)
+    groups[2] = n
     for j in range(5):
         q = groups // 10
         record[6 - j : 19 - j : 6] = groups - q * 10

@@ -62,12 +62,13 @@ BOUNDARIES = [
     *ties(),
 ]
 
+
 def group_edges() -> list[int]:
     """Exact integers below 2**53 with runs of 0s or 9s on both sides of the
     edges between the encoder's 6-digit groups (digits 6|7 and 12|13).
 
-    Fifteen digits fill the first two groups and half the third, sixteen leave
-    it two trailing zeros; 2**53 keeps a sixteen-digit value's first group below 900720.
+    Fifteen digits fill the first two groups and half the third; sixteen leave
+    it two trailing zeros, and 2**53 keeps their first group below 900720.
     """
     out = []
     for first in ("100000", "999999", "800000", "899999"):
@@ -144,26 +145,26 @@ class TestSinogramCsv:
             sino = compute_sinogram(cfg.phantom, cfg.angle_step, quantity)
             assert sinogram_csv_text(sino) == per_row(sino)
 
-    @pytest.mark.parametrize("n_angles", [9, 180])
-    def test_rows_mixing_fast_and_fallback(self, n_angles):
+    def test_rows_mixing_fast_and_fallback(self):
         rng = np.random.default_rng(7)
-        rows = _csv_block_rows(n_angles)
-        data = 10.0 ** rng.uniform(-5, 17, size=(3 * rows + 5, n_angles))
-        data = np.clip(data, 1e-5, 9e16)
-        # fallback rows inside a block, at block edges, a run of them, and the last
-        fallback = [
-            (0, 0.0),
-            (rows // 2, -0.0),
-            (rows - 1, -3.0),
-            (rows, 1e17),
-            (rows + 1, 5e-324),
-            *((row, -1.0) for row in range(2 * rows - 2, 2 * rows + 3)),
-            (3 * rows + 4, 1e200),
-        ]
-        for row, value in fallback:
-            data[row, row % n_angles] = value
-        sino = sinogram(data)
-        assert sinogram_csv_text(sino) == per_row(sino)
+        for n_angles in (9, 180):
+            rows = _csv_block_rows(n_angles)
+            data = 10.0 ** rng.uniform(-5, 17, size=(3 * rows + 5, n_angles))
+            data = np.clip(data, 1e-5, 9e16)
+            # fallback rows inside a block, at block edges, a run of them, and the last
+            fallback = [
+                (0, 0.0),
+                (rows // 2, -0.0),
+                (rows - 1, -3.0),
+                (rows, 1e17),
+                (rows + 1, 5e-324),
+                *((row, -1.0) for row in range(2 * rows - 2, 2 * rows + 3)),
+                (3 * rows + 4, 1e200),
+            ]
+            for row, value in fallback:
+                data[row, row % n_angles] = value
+            sino = sinogram(data)
+            assert sinogram_csv_text(sino) == per_row(sino)
 
     def test_no_angles_or_no_slices(self):
         empty = Sinogram(np.zeros((3, 0)), (), Quantity.CONDUCTANCE, 1.0, 40.0)
