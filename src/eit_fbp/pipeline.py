@@ -76,9 +76,9 @@ def _csv_block_rows(n_angles: int) -> int:
 
 
 # 22 rows at 180 angles.  Larger blocks make fewer numpy calls, but from about
-# 112 KiB of records (26 rows) glibc hands freed blocks back to the system at
-# its 128 KiB default thresholds, and a forward_heavy pass took 1.7x the minor
-# faults, more than the calls saved
+# 112 KiB of records (26 rows) a forward_heavy pass took 1.7x the minor faults,
+# more than the calls saved: near glibc's 128 KiB default thresholds, freed
+# blocks go back to the system and are faulted in afresh
 _CSV_BLOCK_BYTES = 96 * 1024
 _POW10 = 10.0 ** np.arange(23)  # every power up to 1e22 is an exact double
 
