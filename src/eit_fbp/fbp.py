@@ -175,7 +175,12 @@ _BASIS = {
 
 def _pieces(rows: np.ndarray, kind: InterpKind) -> np.ndarray:
     """Piece tables (rows x coefficients x n_bins + 5), piece k on [k - 3, k - 2), of rows
-    padded with four zeros each side; ``einsum`` keeps threaded BLAS out of it."""
+    padded with four zeros each side; ``einsum`` keeps threaded BLAS out of it.  Nearest's
+    one piece is its bin, so its table is the padded row itself."""
+    if kind is InterpKind.NEAREST:
+        table = np.zeros((len(rows), 1, rows.shape[1] + 5))
+        table[:, 0, 3:-2] = rows
+        return table
     windows = np.lib.stride_tricks.sliding_window_view(np.pad(rows, ((0, 0), (4, 4))), 4, axis=1)
     return np.einsum("cw,akw->ack", _BASIS[kind], windows, order="C")
 

@@ -29,7 +29,7 @@ def _levels(unit: np.ndarray, maxval: int, dtype: str) -> np.ndarray:
     return levels
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
+def write_atomic(path: str | Path, data: bytes | bytearray) -> None:
     """Write ``data`` under a temporary name next to ``path``, then move it
     into place, so ``path`` never holds a partly written file."""
     path = Path(path)

@@ -12,12 +12,17 @@ This module owns every artifact name.  Layout inside the output directory:
 When the recon configs use several grid sizes, every image stem ends in
 ``_g<N>``.
 
+Artifacts are written in this order: the targets, then each quantity's CSV and
+the images of its results, in :func:`result_order`, then ``metrics.json``.
+
 CSV and image bytes depend only on the config, never on wall-clock state.  Each
-is encoded once: the CSV as ASCII bytes, image levels in the file's dtype.
+is encoded once: the CSV as ASCII bytes straight into one buffer of the file's
+length, image levels in the file's dtype.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -47,26 +52,34 @@ def recon_stem(rc: ReconConfig, recon: tuple[ReconConfig, ...]) -> str:
     return f"{rc.filter.value}_{rc.interp.value}{raw}{grid_suffix(rc.grid_size, recon)}"
 
 
-def sinogram_csv_text(sino: Sinogram) -> bytes:
-    """The CSV as ASCII bytes: angles as the header row, then one ``%.17e`` row per slice.
+def sinogram_csv_text(sino: Sinogram) -> bytearray:
+    """The CSV as ASCII bytes, in one buffer of the file's length: angles as the
+    header row, then one ``%.17e`` row per slice.
 
-    Blocks of :func:`_csv_block_rows` rows go through :func:`_e17_rows`; a row
-    with a value outside [1e-5, 1e17) goes through bytes ``%``, which writes the
-    same bytes.
+    A row with a value outside [1e-5, 1e17) goes through bytes ``%``, which
+    writes the same bytes.  The rows between two such rows go through
+    :func:`_e17_rows` in blocks of :func:`_csv_block_rows` rows, each block
+    writing 24 bytes a value into its slice of the buffer.
     """
     header = (",".join(repr(a) for a in sino.angles_deg) + "\n").encode("ascii")
     row = b",".join([b"%.17e"] * sino.n_angles) + b"\n"
     in_range = ((sino.data >= 1e-5) & (sino.data < 1e17)).all(axis=1) & (sino.n_angles > 0)
-    parts = [header]
-    rows = _csv_block_rows(sino.n_angles)
-    for start in range(0, sino.n_slices, rows):
-        block = sino.data[start : start + rows]
-        fast = in_range[start : start + rows]
-        if fast.all():
-            parts.append(_e17_rows(block))
-        else:
-            parts += [_e17_rows(v[None]) if f else row % tuple(v) for v, f in zip(block, fast)]
-    return b"".join(parts)
+    slow = np.flatnonzero(~in_range).tolist()
+    lines = [row % tuple(sino.data[i]) for i in slow]
+    fast_bytes = 24 * sino.n_angles * (sino.n_slices - len(slow))
+    text = bytearray(len(header) + fast_bytes + sum(map(len, lines)))
+    text[: len(header)] = header
+    records = np.frombuffer(text, np.uint8)
+    at, start, rows = len(header), 0, _csv_block_rows(sino.n_angles)
+    for stop, line in zip(slow + [sino.n_slices], lines + [b""]):
+        for first in range(start, stop, rows):  # the in-range rows before row stop
+            block = sino.data[first : min(first + rows, stop)]
+            _e17_rows(block, records[at : at + 24 * block.size].reshape(-1, 24))
+            at += 24 * block.size
+        text[at : at + len(line)] = line
+        at += len(line)
+        start = stop + 1
+    return text
 
 
 def _csv_block_rows(n_angles: int) -> int:
@@ -106,9 +119,10 @@ def _scaled_digits(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     return hi.astype(np.int64) + np.rint(lo, out=lo).astype(np.int64)
 
 
-def _e17_rows(block: np.ndarray) -> bytes:
-    """CSV rows of ``block``, every value in [1e-5, 1e17), byte for byte as
-    ``%.17e`` writes them: the correctly rounded 18 digits, ties to even.
+def _e17_rows(block: np.ndarray, out: np.ndarray) -> None:
+    """Write the CSV rows of ``block``, every value in [1e-5, 1e17), into the
+    (``block.size``, 24) uint8 ``out``, byte for byte as ``%.17e`` writes them:
+    the correctly rounded 18 digits, ties to even.
 
     Each value is one 24-byte record ``d.ddddddddddddddddde±XX`` plus its
     separator.  k starts at floor(log10 v) and moves by one wherever the
@@ -144,7 +158,7 @@ def _e17_rows(block: np.ndarray) -> bytes:
     record[20] = np.where(k < 0, ord("-"), ord("+"))
     record[23] = ord(",")
     record[23, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
-    return record.T.tobytes()
+    out[...] = record.T
 
 
 def _write_images(out_dir: Path, stem: str, img: RasterImage) -> dict:
@@ -194,15 +208,6 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
     doc: dict = {"config": config_to_dict(config), "sinograms": [], "targets": [], "results": []}
     reports: list[MetricsReport] = []
 
-    sinograms: dict[Quantity, Sinogram] = {}
-    for quantity in config.quantities:
-        sino = compute_sinogram(config.phantom, config.angle_step, quantity)
-        sinograms[quantity] = sino
-        if "sinogram_csv" in emit:
-            name = f"sinogram_{QUANTITY_SHORT[quantity]}.csv"
-            write_atomic(out_dir / name, sinogram_csv_text(sino))
-            doc["sinograms"].append({"quantity": quantity.value, "csv": name})
-
     targets = {}
     for grid in sorted({rc.grid_size for rc in config.recon}):
         target = normalize_image(rasterize_target(config.phantom, grid))  # conductivity
@@ -211,28 +216,39 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
             stem = "target" + grid_suffix(grid, config.recon)
             doc["targets"].append({"grid_size": grid, **_write_images(out_dir, stem, target)})
 
-    for quantity, rc in result_order(config):
-        start = time.perf_counter()
-        image = reconstruct(sinograms[quantity], rc)
-        metrics = compare(image, targets[rc.grid_size])
-        seconds = time.perf_counter() - start
-        reports.append(metrics)
+    # one quantity at a time, in result_order: its sinogram, its CSV, then its
+    # results.  Every quantity then allocates and frees the same sizes in the
+    # same order, so it reuses the heap blocks the one before freed instead of
+    # faulting in fresh pages (glibc's dynamic mmap threshold, mallopt(3))
+    for quantity, results in itertools.groupby(result_order(config), key=lambda qr: qr[0]):
+        sino = compute_sinogram(config.phantom, config.angle_step, quantity)
+        if "sinogram_csv" in emit:
+            name = f"sinogram_{QUANTITY_SHORT[quantity]}.csv"
+            write_atomic(out_dir / name, sinogram_csv_text(sino))
+            doc["sinograms"].append({"quantity": quantity.value, "csv": name})
+        for _, rc in results:
+            start = time.perf_counter()
+            image = reconstruct(sino, rc)
+            metrics = compare(image, targets[rc.grid_size])
+            seconds = time.perf_counter() - start
+            reports.append(metrics)
 
-        entry = {
-            "quantity": quantity.value,
-            "filter": rc.filter.value,
-            "interp": rc.interp.value,
-            "normalize": rc.normalize,
-            "grid_size": rc.grid_size,
-            "rmse": metrics.rmse,
-            "pearson": metrics.pearson,
-            "psnr": "inf" if math.isinf(metrics.psnr) else metrics.psnr,
-            "seconds": seconds,
-        }
-        if "recon_images" in emit:
-            stem = f"{QUANTITY_SHORT[quantity]}_{recon_stem(rc, config.recon)}"
-            entry.update(_write_images(out_dir, stem, image))
-        doc["results"].append(entry)
+            entry = {
+                "quantity": quantity.value,
+                "filter": rc.filter.value,
+                "interp": rc.interp.value,
+                "normalize": rc.normalize,
+                "grid_size": rc.grid_size,
+                "rmse": metrics.rmse,
+                "pearson": metrics.pearson,
+                "psnr": "inf" if math.isinf(metrics.psnr) else metrics.psnr,
+                "seconds": seconds,
+            }
+            if "recon_images" in emit:
+                stem = f"{QUANTITY_SHORT[quantity]}_{recon_stem(rc, config.recon)}"
+                entry.update(_write_images(out_dir, stem, image))
+            doc["results"].append(entry)
+        del sino  # freed before the next sinogram is made, which reuses its blocks
 
     if "metrics_json" in emit:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -157,7 +157,8 @@ def _sinogram(phantom: Phantom, angles_deg: tuple[float, ...], quantity: Quantit
     total += np.maximum(background, 0.0) / phantom.subject_resistivity
     if quantity is Quantity.CONDUCTANCE:
         return np.divide(total, phantom.depth, out=total)
-    return np.divide(total, subject, out=np.zeros_like(total), where=subject != 0.0)
+    # an empty subject strip holds no inclusion, so total is already 0 there, its value
+    return np.divide(total, subject, out=total, where=subject != 0.0)
 
 
 def project(phantom: Phantom, theta_deg: float, quantity: Quantity) -> Projection:

@@ -1,8 +1,9 @@
 """Shared test utilities: correlation, blob extraction, random phantoms, the
 scalar strip geometry kept as an independent reference for the projector, the
 full-grid sinogram that the projector's bands must equal bit for bit, the
-full-grid back projection that the disk layout must equal bit for bit, and the
-one-call filter that the column blocks must equal bit for bit."""
+full-grid back projection that the disk layout must equal bit for bit, the
+one-call filter that the column blocks must equal bit for bit, and the ``einsum``
+piece tables that nearest's table must equal."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from eit_fbp import (
     Circle,
     FilterKind,
     IndexOutOfRange,
+    InterpKind,
     NonPositiveRadius,
     Phantom,
     Quantity,
@@ -27,7 +29,7 @@ from eit_fbp import (
     sweep_angles,
     validate,
 )
-from eit_fbp.fbp import _evaluate, _gains, _groups, _interpolate, _pieces
+from eit_fbp.fbp import _BASIS, _evaluate, _gains, _groups, _interpolate, _pieces
 from eit_fbp.phantom import _strip_areas
 from eit_fbp.projector import _edges
 
@@ -271,6 +273,15 @@ def one_call_filter(values: np.ndarray, kind: FilterKind) -> np.ndarray:
     half = padded_len // 2
     spectrum *= _gains(kind, np.arange(half + 1) / half)[:, None]
     return np.fft.irfft(spectrum, n=padded_len, axis=0)[:n].copy()
+
+
+def einsum_pieces(rows: np.ndarray, kind: InterpKind) -> np.ndarray:
+    """Piece tables of every kind from ``_BASIS`` in one ``einsum`` of sliding 4-bin
+    windows of the rows padded with four zeros each side: the design that
+    nearest's padded-row table replaced, and still ``fbp._pieces`` for the others.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(rows, ((0, 0), (4, 4))), 4, axis=1)
+    return np.einsum("cw,akw->ack", _BASIS[kind], windows, order="C")
 
 
 def packed_pixels(size: int, extent: float) -> int:

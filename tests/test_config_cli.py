@@ -382,6 +382,34 @@ def test_config_rejects_recon_lists_whose_names_collide(recon, grid):
     assert _accepted(overridden) == _names_unique(overridden)
 
 
+def _run_killed(config: Path, out: Path, target: str, k: int) -> None:
+    """Run ``config`` into ``out`` in a child that SIGKILLs itself on its k-th call
+    of ``target``, ``p.<name>`` for a name in the pipeline's globals or ``os.replace``."""
+    script = (
+        "import dataclasses, os, signal, sys\n"
+        "import eit_fbp.pipeline as p\n"
+        "from eit_fbp.config import parse_config\n"
+        "owner, name = sys.argv[3].split('.')\n"
+        "module, k, calls = {'os': os, 'p': p}[owner], int(sys.argv[4]), []\n"
+        "real = getattr(module, name)\n"
+        "def kill(*args, **kwargs):\n"
+        "    calls.append(args)\n"
+        "    if len(calls) == k:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return real(*args, **kwargs)\n"
+        "setattr(module, name, kill)\n"
+        "cfg = parse_config(sys.argv[1])\n"
+        "p.run_pipeline(dataclasses.replace(cfg, output_dir=sys.argv[2]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(config), str(out), target, str(k)],
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == -signal.SIGKILL, (target, k)
+
+
 class TestRunPipeline:
     def test_one_perturbation_artifacts(self, fixtures_dir, tmp_path):
         cfg = parse_config(fixtures_dir / "one_perturbation_q10.json")
@@ -453,45 +481,54 @@ class TestRunPipeline:
         assert "injected failure" in marker.read_text()
 
     @pytest.mark.parametrize("kill_in", ["compare", "replace"])
-    def test_killed_run_leaves_incomplete_marker(self, fixtures_dir, tmp_path, kill_in):
+    def test_killed_run_leaves_incomplete_marker(
+        self, fixtures_dir, tmp_path, monkeypatch, kill_in
+    ):
         # SIGKILL runs no handler, so only a marker written up front can survive it
-        cfg = parse_config(fixtures_dir / "one_perturbation_q10.json")
-        run_pipeline(replace(cfg, output_dir=str(tmp_path / "full")))
-        patch = "p.compare = kill" if kill_in == "compare" else "os.replace = kill"
-        script = (
-            "import dataclasses, os, signal, sys\n"
-            "import eit_fbp.pipeline as p\n"
-            "from eit_fbp.config import parse_config\n"
-            "def kill(*args, **kwargs):\n"
-            "    os.kill(os.getpid(), signal.SIGKILL)\n"
-            f"{patch}\n"
-            "cfg = parse_config(sys.argv[1])\n"
-            "p.run_pipeline(dataclasses.replace(cfg, output_dir=sys.argv[2]))\n"
-        )
-        config = str(fixtures_dir / "one_perturbation_q10.json")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, config, str(tmp_path / "killed")],
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=120,
-        )
-        assert proc.returncode == -signal.SIGKILL
-        out = tmp_path / "killed"
-        assert (out / "INCOMPLETE").exists()
-        finished = {p.name for p in (tmp_path / "full").iterdir()}
-        left = {p.name for p in out.iterdir()} - {"INCOMPLETE"}
+        config = fixtures_dir / "one_perturbation_q10.json"
+        cfg = parse_config(config)
+        full = tmp_path / "full"
+        moved: list[str] = []  # every artifact, in the order it moved into place
+        os_replace = os.replace
+
+        def record(src, dst):
+            moved.append(Path(dst).name)
+            os_replace(src, dst)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", record)
+            run_pipeline(replace(cfg, output_dir=str(full)))
+        # the targets, then each quantity's CSV and the images of its results, which
+        # metrics.json lists in result_order
+        doc = json.loads((full / "metrics.json").read_text())
+        expected = [target[kind] for target in doc["targets"] for kind in ("pgm", "png")]
+        for sino in doc["sinograms"]:
+            expected.append(sino["csv"])
+            results = [r for r in doc["results"] if r["quantity"] == sino["quantity"]]
+            expected += [result[kind] for result in results for kind in ("pgm", "png")]
+        assert moved == [*expected, "metrics.json"]
+
         if kill_in == "compare":
-            # the sinograms and targets were done; nothing was being written
-            assert left == {n for n in finished if n.startswith(("sinogram_", "target."))}
+            # killed in the first result; the artifacts before its images were done
+            kills = [("p.compare", 1, set(moved[: moved.index(doc["results"][0]["pgm"])]))]
         else:
-            # killed before the first artifact moved into place
-            assert left == {"sinogram_avgcond.csv.tmp"}
-        for name in left & finished:
-            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
-        # a rerun that writes no sinogram still clears the killed run's temporary
-        run_pipeline(replace(cfg, output_dir=str(out), emit=("metrics_json",)))
-        assert not list(out.glob("*.tmp"))
-        assert not (out / "INCOMPLETE").exists()
+            # killed while the k-th artifact moves into place: it is left as its temporary
+            kills = [
+                ("os.replace", k, {*moved[: k - 1], moved[k - 1] + ".tmp"})
+                for k in range(1, len(moved) + 1)
+            ]
+        for target, k, expected_left in kills:
+            out = tmp_path / f"killed_{k}"
+            _run_killed(config, out, target, k)
+            assert (out / "INCOMPLETE").exists(), k
+            left = {p.name for p in out.iterdir()} - {"INCOMPLETE"}
+            assert left == expected_left, k
+            for name in left - {moved[k - 1] + ".tmp"}:
+                assert (out / name).read_bytes() == (full / name).read_bytes(), name
+            # a rerun that writes no sinogram still clears the killed run's temporary
+            run_pipeline(replace(cfg, output_dir=str(out), emit=("metrics_json",)))
+            assert not list(out.glob("*.tmp"))
+            assert not (out / "INCOMPLETE").exists()
 
     def test_multiple_grid_sizes_write_one_target_each(self, tmp_path):
         doc = base_config(

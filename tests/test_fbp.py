@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import full_grid_back_project, one_call_filter, packed_pixels, top_decile_centroid
+from _helpers import (
+    einsum_pieces,
+    full_grid_back_project,
+    one_call_filter,
+    packed_pixels,
+    top_decile_centroid,
+)
 from eit_fbp import (
     Circle,
     EmptySinogram,
@@ -231,6 +237,38 @@ class TestFilterBlocks:
             patch.setattr(np.fft, "rfft", spy)
             _filter(np.ones((n, 2 * width + 1)), FilterKind.RAM_LAK)
         assert calls == [width, width, 1]
+
+
+class TestNearestTable:
+    """Nearest's one piece is its bin, so its table is the padded row itself, equal to the
+    ``einsum`` of its basis row over sliding windows that it replaced."""
+
+    # (rows, bins): one row of one bin, one bin, one row, and odd and even widths
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 1), (1, 9), (25, 33), (18, 80), (180, 320)])
+    def test_equals_einsum_table(self, shape):
+        rows = np.random.default_rng(sum(shape)).standard_normal(shape)
+        rows[0, 0] = -0.0
+        got = fbp._pieces(rows, InterpKind.NEAREST)
+        expected = einsum_pieces(rows, InterpKind.NEAREST)
+        assert got.shape == expected.shape == (shape[0], 1, shape[1] + 5)
+        assert np.array_equal(got, expected)  # the einsum may give either signed zero
+
+    # (slices, angles): 1 x 1, n x 1, and odd slice counts; sweeps with mirrors and turns
+    @pytest.mark.parametrize(
+        "n_slices, n_angles", [(1, 1), (6, 1), (7, 1), (1, 4), (9, 4), (33, 25), (80, 18)]
+    )
+    @pytest.mark.parametrize("size", [2, 7, 64])
+    def test_back_project_bytes_equal_einsum(self, n_slices, n_angles, size):
+        rng = np.random.default_rng(n_slices * n_angles + size)
+        data = rng.standard_normal((n_slices, n_angles))
+        width = 2.0 * 40.0 / (n_slices + 0.5)
+        sino = make_sinogram(data, sweep_angles(180.0 / n_angles), width=width)
+        cfg = ReconConfig(FilterKind.NONE, InterpKind.NEAREST, size)
+        got = back_project(sino, cfg).pixels
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fbp, "_pieces", einsum_pieces)
+            expected = back_project(sino, cfg).pixels
+        assert got.tobytes() == expected.tobytes()
 
 
 def _taps(padded: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -26,6 +26,13 @@ def per_row(sino: Sinogram) -> bytes:
     return "".join([header, *(row % tuple(values) for values in sino.data)]).encode("ascii")
 
 
+def e17_rows(block: np.ndarray) -> bytes:
+    """The records :func:`_e17_rows` writes for ``block``."""
+    out = np.zeros((block.size, 24), np.uint8)
+    _e17_rows(block, out)
+    return out.tobytes()
+
+
 def sinogram(data) -> Sinogram:
     data = np.asarray(data, dtype=float)
     angles = tuple(float(a) for a in range(data.shape[1]))
@@ -92,7 +99,7 @@ class TestEncoder:
     @settings(max_examples=300, deadline=None)
     @given(x=IN_RANGE)
     def test_encoder_in_range(self, x):
-        assert _e17_rows(np.array([[x]])) == ("%.17e\n" % x).encode("ascii")
+        assert e17_rows(np.array([[x]])) == ("%.17e\n" % x).encode("ascii")
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -110,12 +117,12 @@ class TestEncoder:
     def test_boundary_value(self, x):
         assert sinogram_csv_text(sinogram([[x, x]])) == per_row(sinogram([[x, x]]))
         if 1e-5 <= x < 1e17:
-            assert _e17_rows(np.array([[x]])) == ("%.17e\n" % x).encode("ascii")
+            assert e17_rows(np.array([[x]])) == ("%.17e\n" % x).encode("ascii")
 
     def test_ties_round_to_even(self):
         values = ties()
         assert len(values) >= 60
-        text = _e17_rows(np.array([values]))
+        text = e17_rows(np.array([values]))
         assert text == (",".join("%.17e" % x for x in values) + "\n").encode("ascii")
         directions = set()
         for x, record in zip(values, text.decode("ascii").split(",")):
@@ -129,7 +136,7 @@ class TestEncoder:
     @pytest.mark.parametrize("x", group_edges())
     def test_runs_across_digit_groups(self, x):
         assert float(x) == x
-        assert _e17_rows(np.array([[float(x)]])) == ("%.17e\n" % x).encode("ascii")
+        assert e17_rows(np.array([[float(x)]])) == ("%.17e\n" % x).encode("ascii")
 
     @pytest.mark.parametrize("x", FALLBACK, ids=repr)
     def test_value_outside_the_range_falls_back(self, x):
@@ -163,7 +170,16 @@ class TestSinogramCsv:
             ]
             for row, value in fallback:
                 data[row, row % n_angles] = value
+            # whole fallback rows in the middle block whose values are not 24 bytes
+            # each: negatives (25), three-digit exponents (25, 26 when negative), and
+            # zeros mixed in, so each row is longer than its in-range neighbours
+            middle = rows + rows // 2
+            data[middle - 2] = -data[middle - 2]
+            data[middle] = np.resize([1e-300, 0.0, -2.5e300, 1e-310], n_angles)
+            data[middle + 2] = np.resize([0.0, -0.0, -7.0], n_angles)
             sino = sinogram(data)
+            for row in (middle - 2, middle, middle + 2):
+                assert sum(len("%.17e," % v) for v in data[row]) > 24 * n_angles
             assert sinogram_csv_text(sino) == per_row(sino)
 
     def test_no_angles_or_no_slices(self):
