@@ -6,7 +6,8 @@ Subcommands:
 * ``eit-fbp validate <config>`` -- parse and check a config, write nothing
 * ``eit-fbp filters`` -- gain table of the five named filters
 
-Exit codes: 0 success, 2 config error, 3 runtime error.
+Exit codes: 0 success, 2 config error or an output directory that another run
+holds, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from .config import ParseError, RunConfig, ValidationError, parse_config
 from .fbp import FilterKind, filter_gain
-from .pipeline import QUANTITY_SHORT, result_order, run_pipeline
+from .pipeline import QUANTITY_SHORT, OutputDirInUse, result_order, run_pipeline
 from .projector import angle_count, slice_count
 
 _TABLE_FILTERS = tuple(kind for kind in FilterKind if kind is not FilterKind.NONE)
@@ -94,6 +95,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         reports = run_pipeline(cfg)
+    except OutputDirInUse as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except Exception as e:  # domain or I/O failure after a valid config
         print(f"error: {e}", file=sys.stderr)
         return 3

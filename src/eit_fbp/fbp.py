@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .projector import Projection, Sinogram
-from .raster import RasterImage, normalize_image, pixel_centers
+from .raster import RasterImage, inscribed_mask, normalize_image, pixel_centers
 
 
 class FrequencyOutOfRange(ValueError):
@@ -255,29 +255,13 @@ def _groups(angles_deg: tuple[float, ...]) -> list[tuple[int, int | None, int | 
     return groups
 
 
-def _quadrant(size: int, extent: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns, in row-major order, of the pixels of ``inscribed_mask(size, extent)``
-    in its top-left quadrant, rows and columns below (size + 1) / 2.
-
-    The disk is exactly symmetric under both reflections and the transpose, although the
-    pixel centers are not exactly antisymmetric: a center's x^2 + y^2 is
-    R^2 (a^2 + b^2) / size^2 with a = 2j + 1 - size and b = 2i + 1 - size, and a^2 + b^2
-    is never size^2 (mod 4 it is 2 where size^2 is 0, and 0 where size^2 is 1), so it
-    misses R^2 by at least R^2 / size^2, far more than rounding below a grid of 10^7.  So
-    these pixels with their four reflections are the disk.
-    """
-    half = (size + 1) // 2
-    xs, ys = pixel_centers(size, extent)
-    return np.nonzero(xs[:half] ** 2 + ys[:half, None] ** 2 <= extent * extent)
-
-
 def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     """Accumulate the (already filtered) sinogram over the pixel grid.
 
     Pixel centers span [-R, R]^2; each angle contributes its sampled column
     times d_theta = pi / n_angles at the pixels inside the inscribed circle, and
     every other pixel is 0, which covers every pixel with |s| > R.  Only the disk is
-    back-projected: each of the M pixels of its top-left quadrant (see :func:`_quadrant`)
+    back-projected: each of the M pixels of its top-left quadrant (see :func:`inscribed_mask`)
     is stored with its reflections in x and y, in (2, 2, M) buffers whose axis 0 is the
     column j or size - 1 - j and axis 1 the row i or size - 1 - i.  Each group of angles (see :func:`_groups`: a sweep's
     partners sit at fixed offsets, and other angle lists share less) shares one lateral
@@ -301,7 +285,8 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     ]
     # a sweep with no quarter turns needs no accumulator for them
     turns = any(turned is not None or flipped is not None for *_, turned, flipped in groups)
-    rows, cols = _quadrant(size, r)
+    half = (size + 1) // 2
+    rows, cols = np.nonzero(inscribed_mask(size, r)[:half, :half])  # in row-major order
 
     def accumulate(chunk: slice) -> tuple[np.ndarray, np.ndarray | None]:
         """Back-project the quadrant pixels in ``chunk``: the accumulator and the quarter

@@ -22,9 +22,11 @@ length, image levels in the file's dtype.
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -39,6 +41,10 @@ from .raster import MetricsReport, RasterImage, compare, normalize_image, raster
 QUANTITY_SHORT = {Quantity.CONDUCTANCE: "conductance", Quantity.AVG_CONDUCTIVITY: "avgcond"}
 # the temporaries write_atomic leaves behind when a run is killed mid-write
 _TEMPORARIES = ("*.csv.tmp", "*.pgm.tmp", "*.png.tmp", "metrics.json.tmp")
+
+
+class OutputDirInUse(RuntimeError):
+    """Another run holds the output directory."""
 
 
 def grid_suffix(grid_size: int, recon: tuple[ReconConfig, ...]) -> str:
@@ -104,18 +110,21 @@ def _dekker_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _POW10_HI, _POW10_LO = _dekker_split(_POW10)
+# rows 19-22 of a record, "e-05" .. "e+16", one column per exponent k = -5 .. 16
+_EXPONENTS = np.array([list(b"e%+03d" % k) for k in range(-5, 17)], np.uint8).T.copy()
 
 
 def _scaled_digits(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     """v * 10**(17 - k) rounded half to even, exactly: Dekker's two-product
     gives the product as hi + lo, hi an integer (>= 2**53) and lo its error."""
     m = 17 - k
+    p, p_hi, p_lo = _POW10[m], _POW10_HI[m], _POW10_LO[m]
     vh, vl = _dekker_split(v)
-    hi = v * _POW10[m]
-    lo = vh * _POW10_HI[m] - hi
-    lo += vh * _POW10_LO[m]
-    lo += vl * _POW10_HI[m]
-    lo += vl * _POW10_LO[m]
+    hi = v * p
+    lo = vh * p_hi - hi
+    lo += vh * p_lo
+    lo += vl * p_hi
+    lo += vl * p_lo
     return hi.astype(np.int64) + np.rint(lo, out=lo).astype(np.int64)
 
 
@@ -150,12 +159,9 @@ def _e17_rows(block: np.ndarray, out: np.ndarray) -> None:
         record[6 - j : 19 - j : 6] = groups - q * 10
         groups = q
     record[[0, 7, 13]] = groups
-    record[21] = np.abs(k) // 10
-    record[22] = np.abs(k) % 10
-    record += ord("0")
+    record[:19] += ord("0")
     record[1] = ord(".")
-    record[19] = ord("e")
-    record[20] = np.where(k < 0, ord("-"), ord("+"))
+    np.take(_EXPONENTS, k + 5, axis=1, out=record[19:23])
     record[23] = ord(",")
     record[23, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
     out[...] = record.T
@@ -183,24 +189,38 @@ def run_pipeline(config: RunConfig) -> list[MetricsReport]:
     exception the marker names the error.  Each artifact is written under a
     temporary name and moved into place, so none is ever a truncated file;
     temporaries a killed run left behind are deleted first.
+
+    From before the marker is written until after it is removed, the run holds
+    an exclusive ``flock`` (POSIX) on the directory's own descriptor, so no lock
+    file joins the artifacts, and the kernel drops it when the process dies.
+    While another run holds it, this one raises :class:`OutputDirInUse` and
+    writes or deletes nothing.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    marker = out_dir / "INCOMPLETE"
-    marker.write_text("pipeline running or killed\n")
+    lock = os.open(out_dir, os.O_RDONLY)
     try:
-        for pattern in _TEMPORARIES:
-            for stale in out_dir.glob(pattern):
-                stale.unlink(missing_ok=True)
-        reports = _run(config, out_dir)
-    except Exception as e:
         try:
-            marker.write_text(f"pipeline failed: {e}\n")
-        except OSError:
-            pass
-        raise
-    marker.unlink()
-    return reports
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OutputDirInUse(f"output_dir {out_dir} is in use by another run") from None
+        marker = out_dir / "INCOMPLETE"
+        marker.write_text("pipeline running or killed\n")
+        try:
+            for pattern in _TEMPORARIES:
+                for stale in out_dir.glob(pattern):
+                    stale.unlink(missing_ok=True)
+            reports = _run(config, out_dir)
+        except Exception as e:
+            try:
+                marker.write_text(f"pipeline failed: {e}\n")
+            except OSError:
+                pass
+            raise
+        marker.unlink()
+        return reports
+    finally:
+        os.close(lock)  # drops the lock
 
 
 def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:

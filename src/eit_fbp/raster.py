@@ -7,6 +7,7 @@ range and comparison all read those pixels alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,10 +60,22 @@ def pixel_centers(size: int, extent: float) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+@functools.lru_cache(maxsize=4)  # a run holds one per distinct grid size, grid^2 bytes each
 def inscribed_mask(size: int, extent: float) -> np.ndarray:
-    """Boolean mask of pixel centers inside (or on) the inscribed circle."""
+    """Boolean mask of pixel centers inside (or on) the inscribed circle: the one rule for
+    which pixels count, built once per (size, extent) and returned read-only.
+
+    The disk is exactly symmetric under both reflections and the transpose, although the pixel
+    centers are not exactly antisymmetric: a center's x^2 + y^2 is R^2 (a^2 + b^2) / size^2 with
+    a = 2j + 1 - size and b = 2i + 1 - size, and a^2 + b^2 is never size^2 (mod 4 it is 2 where
+    size^2 is 0, and 0 where size^2 is 1), so it misses R^2 by at least R^2 / size^2, far more
+    than rounding below a grid of 10^7.  So the top-left quadrant, rows and columns below
+    (size + 1) / 2, with its reflections in x and y is the disk.
+    """
     xs, ys = pixel_centers(size, extent)
-    return xs[None, :] ** 2 + ys[:, None] ** 2 <= extent * extent
+    mask = xs[None, :] ** 2 + ys[:, None] ** 2 <= extent * extent
+    mask.flags.writeable = False
+    return mask
 
 
 def rasterize_target(phantom: Phantom, grid_size: int) -> RasterImage:
@@ -129,14 +142,15 @@ def compare(a: RasterImage, b: RasterImage) -> MetricsReport:
     mask = inscribed_mask(a.size, a.extent)
     va = a.pixels[mask]
     vb = b.pixels[mask]
+    scratch = np.subtract(va, vb)  # the squared error, then each product summed below
+    rmse = float(np.sqrt(np.mean(np.square(scratch, out=scratch))))
 
-    rmse = float(np.sqrt(np.mean((va - vb) ** 2)))
-
-    da = va - va.mean()
-    db = vb - vb.mean()
+    va -= va.mean()  # centred in place: three disk-sized buffers in all
+    vb -= vb.mean()
     # elementwise reductions: threaded BLAS makes small dot products slow
-    denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))
-    pearson = float((da * db).sum()) / denom if denom > 0 else 0.0
+    pairs = ((va, va), (vb, vb), (va, vb))
+    aa, bb, ab = (float(np.multiply(u, v, out=scratch).sum()) for u, v in pairs)
+    pearson = ab / math.sqrt(aa * bb) if aa * bb > 0 else 0.0
 
     psnr = math.inf if rmse == 0 else 20.0 * math.log10(1.0 / rmse)
     return MetricsReport(rmse=rmse, pearson=pearson, psnr=psnr)

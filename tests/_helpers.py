@@ -2,8 +2,9 @@
 scalar strip geometry kept as an independent reference for the projector, the
 full-grid sinogram that the projector's bands must equal bit for bit, the
 full-grid back projection that the disk layout must equal bit for bit, the
-one-call filter that the column blocks must equal bit for bit, and the ``einsum``
-piece tables that nearest's table must equal."""
+one-call filter that the column blocks must equal bit for bit, the ``einsum``
+piece tables that nearest's table must equal, and the quadrant rule and the
+``compare`` arithmetic that the shared disk mask replaced."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from eit_fbp import (
     FilterKind,
     IndexOutOfRange,
     InterpKind,
+    MetricsReport,
     NonPositiveRadius,
     Phantom,
     Quantity,
@@ -291,3 +293,26 @@ def packed_pixels(size: int, extent: float) -> int:
     mask = mask | mask[::-1] | mask[:, ::-1] | mask[::-1, ::-1]
     half = (size + 1) // 2
     return 4 * int((mask | mask.T)[:half, :half].sum())
+
+
+def own_quadrant(size: int, extent: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns, in row-major order, of the disk's pixels in its top-left quadrant,
+    rows and columns below (size + 1) / 2, from their own x^2 + y^2 <= R^2 test: the rule
+    that back projection applied before it read ``inscribed_mask``."""
+    half = (size + 1) // 2
+    xs, ys = pixel_centers(size, extent)
+    return np.nonzero(xs[:half] ** 2 + ys[:half, None] ** 2 <= extent * extent)
+
+
+def fresh_array_compare(a: RasterImage, b: RasterImage) -> MetricsReport:
+    """``compare`` with a new array for every difference and product: the arithmetic that
+    the in-place version must equal bit for bit."""
+    mask = inscribed_mask(a.size, a.extent)
+    va, vb = a.pixels[mask], b.pixels[mask]
+    rmse = float(np.sqrt(np.mean((va - vb) ** 2)))
+    da = va - va.mean()
+    db = vb - vb.mean()
+    denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))
+    pearson = float((da * db).sum()) / denom if denom > 0 else 0.0
+    psnr = math.inf if rmse == 0 else 20.0 * math.log10(1.0 / rmse)
+    return MetricsReport(rmse=rmse, pearson=pearson, psnr=psnr)

@@ -1,3 +1,4 @@
+import fcntl
 import itertools
 import json
 import math
@@ -942,6 +943,32 @@ class TestCli:
             expected[label] = f"rmse={r['rmse']:.6g} pearson={r['pearson']:.6g} psnr={psnr:.6g}"
         assert len(lines) == len(expected) == 10
         assert dict(line.split(": ", 1) for line in lines) == expected
+
+    def test_run_into_a_held_output_dir_exits_2(self, fixtures_dir, tmp_path, capsys):
+        # the lock is on an open file description, so a second descriptor in this
+        # process holds it against the run as another process would
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier.png.tmp").write_bytes(b"a temporary a new run would delete")
+        argv = ["run", str(fixtures_dir / "one_perturbation_q10.json"), "--out", str(out)]
+        held = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            before = sorted(os.listdir(out))
+            assert main([*argv, "--quiet"]) == 2
+            assert f"output_dir {out}" in capsys.readouterr().err
+            assert sorted(os.listdir(out)) == before
+            assert main(["validate", argv[1]]) == 0  # validate takes no lock
+        finally:
+            os.close(held)
+        assert main([*argv, "--quiet"]) == 0
+        assert "metrics.json" in os.listdir(out)
+        assert not (out / "INCOMPLETE").exists() and not (out / "earlier.png.tmp").exists()
+        held = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)  # the run let go of it
+        finally:
+            os.close(held)
 
     def test_runtime_error_exit_code(self, fixtures_dir, tmp_path, capsys):
         clobber = tmp_path / "file_in_the_way"

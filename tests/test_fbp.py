@@ -14,6 +14,7 @@ from _helpers import (
     einsum_pieces,
     full_grid_back_project,
     one_call_filter,
+    own_quadrant,
     packed_pixels,
     top_decile_centroid,
 )
@@ -710,16 +711,21 @@ class TestDiskLayout:
     def test_disk_is_symmetric(self):
         # only the disk's top-left quadrant is looked up, so the disk must be its own
         # reflection in x and in y and its own transpose, though pixel centers are not
-        # exactly antisymmetric
+        # exactly antisymmetric; and the mask's top-left quadrant, which back projection
+        # reads, must be what an x^2 + y^2 test over that quadrant alone picks
         rng = np.random.default_rng(4)
         asymmetric_centers = 0
         for size in [*range(2, 130), 257, 320, 321, 400, 401, 1000, 2049]:
+            half = (size + 1) // 2
             for extent in (1.0, 37.0, 40.0, *rng.uniform(1e-3, 1e3, 2)):
                 xs, _ = pixel_centers(size, extent)
                 asymmetric_centers += bool((xs != -xs[::-1]).any())
                 mask = inscribed_mask(size, extent)
                 assert (mask == mask[::-1]).all() and (mask == mask[:, ::-1]).all()
                 assert (mask == mask.T).all()
+                rows, cols = np.nonzero(mask[:half, :half])
+                own_rows, own_cols = own_quadrant(size, extent)
+                assert np.array_equal(rows, own_rows) and np.array_equal(cols, own_cols)
         assert asymmetric_centers > 0
 
 

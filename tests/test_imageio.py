@@ -49,8 +49,9 @@ def read_png(path):
     assert (depth, color) == (8, 0)
     raw = zlib.decompress(chunks[b"IDAT"])
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, w + 1)
-    assert np.all(rows[:, 0] == 0)  # filter type 0 on every scanline
-    return rows[:, 1:]
+    assert np.all(rows[:, 0] == 2)  # filter type 2 (Up) on every scanline
+    # undo Up: each byte plus the decoded byte above it, a running sum mod 256 down the rows
+    return np.cumsum(rows[:, 1:], axis=0, dtype=np.uint8)
 
 
 @pytest.fixture
@@ -121,6 +122,12 @@ class TestPng:
         mask = inscribed_mask(64, 40.0)
         np.testing.assert_array_equal(data[mask], expected[mask])
         assert np.all(data[~mask] == 0)
+
+    def test_up_filter_wraps_mod_256(self, tmp_path):
+        # rows alternating 0 and 255 store differences of 255 and 1 (mod 256) below row 0
+        unit = np.indices((9, 9)).sum(axis=0) % 2.0
+        write_png(tmp_path / "c.png", unit)
+        np.testing.assert_array_equal(read_png(tmp_path / "c.png"), 255 * unit)
 
     def test_deterministic_bytes(self, tmp_path, target):
         unit, _, _ = rescale(target, MID_GRAY)

@@ -1,17 +1,25 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from _helpers import nearest_pixel_value
+from _helpers import fresh_array_compare, nearest_pixel_value
 from eit_fbp import (
+    FilterKind,
+    InterpKind,
+    Quantity,
     RasterImage,
+    ReconConfig,
     SizeMismatch,
     compare,
+    compute_sinogram,
     inscribed_mask,
     normalize_image,
     rasterize_target,
+    reconstruct,
 )
+from eit_fbp.raster import rescale
 
 
 class TestRasterImage:
@@ -36,6 +44,27 @@ class TestRasterImage:
     def test_smallest_images_have_a_disk(self, size):
         assert inscribed_mask(size, 1.0).any()
         assert normalize_image(RasterImage(np.ones((size, size)), 1.0)).pixels.max() == 0.5
+
+
+class TestInscribedMask:
+    def test_built_once_and_read_only(self):
+        mask = inscribed_mask(80, 40.0)
+        assert inscribed_mask(80, 40.0) is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = True
+
+    def test_every_stage_reads_the_one_mask(self, one_perturbation):
+        # back projection, the target, normalization, written images' rescale and
+        # compare at one grid build its mask once between them
+        inscribed_mask.cache_clear()
+        sino = compute_sinogram(one_perturbation, 10, Quantity.AVG_CONDUCTIVITY)
+        image = reconstruct(sino, ReconConfig(FilterKind.RAM_LAK, InterpKind.LINEAR, 48))
+        target = normalize_image(rasterize_target(one_perturbation, 48))
+        rescale(image, 0.5)
+        compare(image, target)
+        info = inscribed_mask.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
 
 
 class TestRasterizeTarget:
@@ -130,6 +159,22 @@ class TestCompare:
         assert ab == ba
         assert ab == compare(a, flipped)
         assert ab.pearson == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("size, extent", [(2, 1.0), (33, 37.0), (80, 40.0), (321, 0.25)])
+    def test_equals_fresh_array_arithmetic(self, size, extent):
+        # bit for bit, with pixels outside the disk that must not count; a constant image
+        # has denominator 0 and identical images have rmse 0 and psnr inf
+        rng = np.random.default_rng(size)
+        noise = rng.uniform(-3.0, 3.0, (4, size, size))
+        disk = inscribed_mask(size, extent)
+        images = [RasterImage(np.where(disk, p, q), extent) for p, q in zip(noise[:2], noise[2:])]
+        images.append(RasterImage(np.where(disk, 0.5, noise[3]), extent))
+        for a in images:
+            for b in images:
+                got, own = astuple(compare(a, b)), astuple(fresh_array_compare(a, b))
+                assert np.array(got).tobytes() == np.array(own).tobytes()
+        assert compare(images[0], images[0]).psnr == math.inf
+        assert compare(images[2], images[0]).pearson == 0.0
 
     def test_constant_image_pearson_is_zero(self, homogeneous, one_perturbation):
         const = normalize_image(rasterize_target(homogeneous, 80))
