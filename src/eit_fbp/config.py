@@ -22,16 +22,10 @@ from .projector import InvalidAngleStep, Quantity, angle_count, slice_count
 
 EMIT_KINDS = ("sinogram_csv", "target_image", "recon_images", "metrics_json")
 
-# Caps on the work one config may ask for, far above every config in
-# fixtures/ and the benchmark (at most 320 slices x 180 angles = 57,600
-# sinogram values, and 320^2 pixels x 180 angles = 1.8e7 samples per back
-# projection).  A sinogram at the cap takes 80 MB per quantity.  One back
-# projection holds about 48 bytes per pixel at its peak (tracemalloc, grids
-# 400 and 800), so an image at the pixel cap takes about 2 GB; the pixel cap
-# is what bounds a config with few angles.
-MAX_SINOGRAM_VALUES = 10**7  # n_slices x n_angles
-MAX_BACKPROJECTION_SAMPLES = 10**9  # grid_size^2 x n_angles, per recon entry
-MAX_RECON_PIXELS = 4 * 10**7  # grid_size^2 over distinct sizes: a run holds one target per size
+# Caps on a run's work as _work counts it, far above every fixture and benchmark
+# config (recon_heavy asks for 1.1e8 samples and about 8 MB)
+MAX_SAMPLES = 10**9
+MAX_PEAK_BYTES = 2 * 10**9
 
 
 # JSON key -> field of the object it sets, in the order the keys are checked
@@ -60,8 +54,7 @@ class ValidationError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """A validated run: no recon config appears twice (both would write the same
-    artifacts), none back-projects more than MAX_BACKPROJECTION_SAMPLES samples,
-    and its distinct grid sizes hold at most MAX_RECON_PIXELS pixels together."""
+    artifacts), and :func:`_work` puts its work within MAX_SAMPLES and MAX_PEAK_BYTES."""
 
     phantom: Phantom
     angle_step: float
@@ -71,15 +64,8 @@ class RunConfig:
     emit: tuple[str, ...]
 
     def __post_init__(self):
-        n_angles = angle_count(self.angle_step)
         seen = set()
         for rc in self.recon:
-            if rc.grid_size**2 * n_angles > MAX_BACKPROJECTION_SAMPLES:
-                raise ValidationError(
-                    f"recon grid_size {rc.grid_size} and angle_step_deg {self.angle_step:g} ask "
-                    f"for {rc.grid_size}^2 pixels x {n_angles} angles, more than "
-                    f"{MAX_BACKPROJECTION_SAMPLES:.0e} back-projection samples"
-                )
             if rc in seen:
                 raise ValidationError(
                     f"recon repeats filter '{rc.filter.value}' x interp '{rc.interp.value}' "
@@ -87,13 +73,34 @@ class RunConfig:
                     "both would write the same artifacts"
                 )
             seen.add(rc)
-        grids = sorted({rc.grid_size for rc in self.recon}, reverse=True)  # largest first
-        if sum(g * g for g in grids) > MAX_RECON_PIXELS:
-            raise ValidationError(
-                f"recon grid_size {', '.join(map(str, grids))} asks for "
-                f"{' + '.join(f'{g}^2' for g in grids)} pixels, more than "
-                f"{MAX_RECON_PIXELS:.0e} pixels in the images of one run"
-            )
+        samples, peak = _work(self)
+        grids = ", ".join(map(str, sorted({rc.grid_size for rc in self.recon}, reverse=True)))
+        sweep = f"angle_step_deg {self.angle_step:g} and recon grid_size {grids}"
+        p = self.phantom
+        subject = f"subject_radius_mm {p.subject_radius:g}, slice_width_mm {p.slice_width:g}, "
+        for keys, figure, value, cap in (
+            (subject + sweep, "bytes at the peak", peak, MAX_PEAK_BYTES),
+            (sweep, "back-projection samples", samples, MAX_SAMPLES),
+        ):
+            if value > cap:
+                raise ValidationError(f"{keys} ask for {value:,} {figure}, more than {cap:,}")
+
+
+def _work(config: RunConfig) -> tuple[int, int]:
+    """A run's back-projection samples, angles x grid^2 over every result, and an upper
+    estimate of its peak traced bytes (tracemalloc), fitted on warm runs: 60 a sinogram value
+    over (2R / w + 8) x (angles + 1), the padding for each angle's objects and a column's FFT;
+    56 a pixel of the largest grid, for a back projection and the image before it; 9 a pixel
+    of each distinct grid, for its target and disk mask; 8 KiB a result; and 0.5 MiB.  Both are
+    exact integers, so no grid overflows them, and no absurd slice count is ever built."""
+    n_angles = angle_count(config.angle_step)
+    slices = 2.0 * config.phantom.subject_radius / config.phantom.slice_width
+    grids = {rc.grid_size for rc in config.recon}
+    n = len(config.quantities)
+    samples = n_angles * n * sum(rc.grid_size**2 for rc in config.recon)
+    peak = 60 * math.ceil(slices + 8) * (n_angles + 1) + 56 * max(grids, default=0) ** 2
+    peak += 9 * sum(g * g for g in grids) + 8192 * n * len(config.recon) + 2**19
+    return samples, peak
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -133,17 +140,9 @@ def parse_config_dict(data: object) -> RunConfig:
     except PhantomError as e:
         raise ValidationError(f"invalid phantom: {e}") from e
     try:
-        n_angles = angle_count(angle_step)
+        angle_count(angle_step)
     except InvalidAngleStep as e:
         raise ValidationError(str(e)) from e
-    # 2R / w as a float, so an absurd slice count is rejected, never built
-    slices = 2.0 * phantom.subject_radius / phantom.slice_width
-    if slices * n_angles > MAX_SINOGRAM_VALUES:
-        raise ValidationError(
-            f"subject_radius_mm {phantom.subject_radius:g}, slice_width_mm "
-            f"{phantom.slice_width:g} and angle_step_deg {angle_step:g} ask for {slices:.3g} "
-            f"slices x {n_angles:.3g} angles, more than {MAX_SINOGRAM_VALUES:.0e} sinogram values"
-        )
 
     return RunConfig(
         phantom=phantom,

@@ -347,33 +347,22 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     if errors:
         raise errors[0]
 
-    def disk(k: int, turned: bool):
-        """Chunk k's flat image positions and values, of its accumulator or of its quarter
-        turns' accumulator turned a quarter."""
-        i, j = rows[chunks[k]], cols[chunks[k]]
-        planes = results[k][turned]
-        for a, col in enumerate((j, size - 1 - j)):
-            for b, row in enumerate((i, size - 1 - i)):
-                # np.rot90 moves the quarter turns' pixel (row, col) to (size - 1 - col, row)
-                p, q = (size - 1 - col, row) if turned else (row, col)
-                at, values = p * size + q, planes[a, b]
-                # an odd grid's middle row and column are their own reflections: once each
-                if size % 2 and (a or b):
-                    once = ((a == 0) | (col != j)) & ((b == 0) | (row != i))
-                    at, values = at[once], values[once]
-                yield at, values
-
     # the quarter turns land on pixels of other chunks, so they are added after every
-    # chunk's accumulator is in place
+    # chunk's accumulator is in place.  On an odd grid's middle row or column both
+    # reflections read one element of xs or ys, so their values are bitwise equal, and
+    # a position listed twice in one statement gets the same value twice
     image = np.zeros((size, size))
     flat = image.reshape(-1)
-    for k in range(n):
-        for at, values in disk(k, False):
-            flat[at] = values
+    for chunk, (acc, _) in zip(chunks, results):
+        row = np.stack((rows[chunk], size - 1 - rows[chunk]))[None]  # along axis 1
+        col = np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]  # along axis 0
+        flat[row * size + col] = acc
     if turns:
-        for k in range(n):
-            for at, values in disk(k, True):
-                flat[at] += values
+        for chunk, (_, quarter) in zip(chunks, results):
+            row = np.stack((rows[chunk], size - 1 - rows[chunk]))[None]
+            col = np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]
+            # np.rot90 moves the quarter turns' pixel (row, col) to (size - 1 - col, row)
+            flat[(size - 1 - col) * size + row] += quarter
     image *= math.pi / sino.n_angles
     return RasterImage(image, r)
 

@@ -10,7 +10,8 @@ This module owns every artifact name.  Layout inside the output directory:
   or was killed
 
 When the recon configs use several grid sizes, every image stem ends in
-``_g<N>``.
+``_g<N>``.  A run first deletes every file whose name is one of these, or one
+of them with ``.tmp`` (see :data:`_ARTIFACT`), and nothing else.
 
 Artifacts are written in this order: the targets, then each quantity's CSV and
 the images of its results, in :func:`result_order`, then ``metrics.json``.
@@ -27,20 +28,33 @@ import itertools
 import json
 import math
 import os
+import re
 import time
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, config_to_dict
-from .fbp import ReconConfig, reconstruct
+from .fbp import FilterKind, InterpKind, ReconConfig, reconstruct
 from .imageio import MID_GRAY, write_atomic, write_pgm, write_png
 from .projector import Quantity, Sinogram, compute_sinogram
 from .raster import MetricsReport, RasterImage, compare, normalize_image, rasterize_target, rescale
 
 QUANTITY_SHORT = {Quantity.CONDUCTANCE: "conductance", Quantity.AVG_CONDUCTIVITY: "avgcond"}
-# the temporaries write_atomic leaves behind when a run is killed mid-write
-_TEMPORARIES = ("*.csv.tmp", "*.pgm.tmp", "*.png.tmp", "metrics.json.tmp")
+
+
+def _one_of(names) -> str:
+    """A regex group that matches any of ``names`` literally."""
+    return "(" + "|".join(map(re.escape, names)) + ")"
+
+
+_Q = _one_of(QUANTITY_SHORT.values())
+_F, _I = (_one_of(k.value for k in kind) for kind in (FilterKind, InterpKind))
+# every name a run writes, finished or as write_atomic's temporary
+_ARTIFACT = re.compile(
+    rf"(sinogram_{_Q}\.csv|(target|{_Q}_{_F}_{_I}(_raw)?)(_g[1-9][0-9]*)?\.(pgm|png)"
+    rf"|metrics\.json)(\.tmp)?"
+)
 
 
 class OutputDirInUse(RuntimeError):
@@ -187,8 +201,9 @@ def run_pipeline(config: RunConfig) -> list[MetricsReport]:
     once every artifact is in place, so a run that dies for any reason,
     including being killed, is never mistaken for a full one.  On an
     exception the marker names the error.  Each artifact is written under a
-    temporary name and moved into place, so none is ever a truncated file;
-    temporaries a killed run left behind are deleted first.
+    temporary name and moved into place, so none is ever a truncated file.
+    Every file with an artifact's name, finished or temporary, is deleted first,
+    so no artifact of an earlier or a killed run is left among this run's.
 
     From before the marker is written until after it is removed, the run holds
     an exclusive ``flock`` (POSIX) on the directory's own descriptor, so no lock
@@ -207,8 +222,8 @@ def run_pipeline(config: RunConfig) -> list[MetricsReport]:
         marker = out_dir / "INCOMPLETE"
         marker.write_text("pipeline running or killed\n")
         try:
-            for pattern in _TEMPORARIES:
-                for stale in out_dir.glob(pattern):
+            for stale in out_dir.iterdir():
+                if _ARTIFACT.fullmatch(stale.name):
                     stale.unlink(missing_ok=True)
             reports = _run(config, out_dir)
         except Exception as e:

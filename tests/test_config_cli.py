@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,11 +36,14 @@ from eit_fbp.cli import main
 from eit_fbp.config import (
     CIRCLE_KEYS,
     EMIT_KINDS,
-    MAX_RECON_PIXELS,
+    MAX_PEAK_BYTES,
+    MAX_SAMPLES,
     PHANTOM_KEYS,
+    _work,
     parse_config_dict,
 )
-from eit_fbp.pipeline import recon_stem
+from eit_fbp.pipeline import _ARTIFACT, recon_stem
+from eit_fbp.projector import angle_count
 
 ALL_FIXTURES = sorted(
     p.name for p in (Path(__file__).resolve().parent.parent / "fixtures").glob("*.json")
@@ -215,29 +219,39 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
-            (lambda d: d.update(angle_step_deg=1e-4), "1.8e\\+06 angles"),
-            (lambda d: d["phantom"].update(slice_width_mm=1e-4), "slice_width_mm 0.0001"),
+            (
+                lambda d: d.update(angle_step_deg=1e-4),
+                "angle_step_deg 0.0001 and recon grid_size 80 ask for [\\d,]+ bytes at the peak",
+            ),
+            (
+                lambda d: d["phantom"].update(slice_width_mm=1e-4),
+                "subject_radius_mm 40, slice_width_mm 0.0001, angle_step_deg 10 and recon "
+                "grid_size 800000 ask for [\\d,]+ bytes at the peak",
+            ),
             # every number within the phantom rules, but 2R / w is 2e20 slices
-            (lambda d: d["phantom"].update(subject_radius_mm=1e20), "2e\\+20 slices"),
-            (lambda d: d["recon"][0].update(grid_size=100000), "grid_size 100000"),
-            # one angle keeps grid^2 x angles under the sample cap; the pixel cap stops it
+            (lambda d: d["phantom"].update(subject_radius_mm=1e20), "subject_radius_mm 1e\\+20, "),
+            (
+                lambda d: d["recon"][0].update(grid_size=100000),
+                "recon grid_size 100000 ask for [\\d,]+ bytes at the peak, more than 2,000,000,000",
+            ),
+            # one angle keeps grid^2 x angles under the sample cap; the byte cap stops it
             (
                 lambda d: d.update(
                     angle_step_deg=180,
                     recon=[{"filters": ["none"], "interps": ["linear"], "grid_size": 31622}],
                 ),
-                "recon grid_size 31622 asks for 31622\\^2 pixels",
+                "angle_step_deg 180 and recon grid_size 31622 ask for [\\d,]+ bytes at the peak",
             ),
-            # each grid alone is under the pixel cap; the run holds a target at both
+            # each grid alone is under the byte cap; the run holds a target at both
             (
                 lambda d: d.update(
                     angle_step_deg=180,
                     recon=[
                         {"filters": [f], "interps": ["linear"], "grid_size": g}
-                        for f, g in (("none", 4500), ("none", 5000), ("ramlak", 4500))
+                        for f, g in (("none", 4000), ("none", 5500), ("ramlak", 4000))
                     ],
                 ),
-                "recon grid_size 5000, 4500 asks for 5000\\^2 \\+ 4500\\^2 pixels",
+                "recon grid_size 5500, 4000 ask for 2,110,809,424 bytes at the peak",
             ),
         ],
         ids=[
@@ -266,6 +280,13 @@ class TestParseConfig:
         # a grid override is checked against the same cap
         with pytest.raises(ValidationError, match="grid_size 100000"):
             replace(cfg, recon=(replace(cfg.recon[0], grid_size=100000),))
+
+    def test_replaced_phantom_over_cap_rejected(self, fixtures_dir):
+        # 8e6 slices x 18 angles, about 1.2 GB a sinogram: every RunConfig is checked,
+        # not only a parsed one
+        cfg = parse_config(fixtures_dir / "one_perturbation_q10.json")
+        with pytest.raises(ValidationError, match="slice_width_mm 1e-05, .* bytes at the peak"):
+            replace(cfg, phantom=replace(cfg.phantom, slice_width=1e-5))
 
 
 # Config documents for the property below: mostly well-formed, each number
@@ -323,11 +344,15 @@ CONFIG_DICTS = _mostly(
 @settings(max_examples=200, deadline=None)
 @given(doc=CONFIG_DICTS)
 # the generator almost never pairs one angle with a grid under the sample cap but
-# over the pixel cap, so that shape is given
+# over the byte cap, so that shape is given; and a grid beyond the float range,
+# whose work must still be counted exactly
 @example(
     doc=base_config(
         angle_step_deg=180, recon=[{"filters": ["none"], "interps": ["linear"], "grid_size": 31622}]
     )
+)
+@example(
+    doc=base_config(recon=[{"filters": ["none"], "interps": ["linear"], "grid_size": 10**400}])
 )
 def test_every_config_dict_is_parsed_or_rejected(doc):
     # parsing only: a config that passes is never run here
@@ -336,9 +361,88 @@ def test_every_config_dict_is_parsed_or_rejected(doc):
     except (ParseError, ValidationError):
         return
     assert isinstance(cfg, RunConfig)
-    # a one-angle sweep passes the sample cap at any grid; the pixel cap still
-    # holds, over the run's distinct grid sizes together
-    assert sum(g * g for g in {rc.grid_size for rc in cfg.recon}) <= MAX_RECON_PIXELS
+    # both caps hold over the whole run: the samples of every result, and the
+    # estimated peak, which bounds a one-angle sweep at any grid
+    samples = sum(rc.grid_size**2 for rc in cfg.recon) * len(cfg.quantities)
+    assert samples * angle_count(cfg.angle_step) <= MAX_SAMPLES
+    assert _work(cfg)[1] <= MAX_PEAK_BYTES
+
+
+def _shaped(fixtures_dir, width, step, quantities, recon, emit=EMIT_KINDS, circles=None):
+    """one_perturbation_q10 with another slice width, sweep, recon list and emit list."""
+    doc = json.loads((fixtures_dir / "one_perturbation_q10.json").read_text())
+    doc["phantom"]["slice_width_mm"] = width
+    if circles is not None:
+        doc["phantom"]["perturbations"] = [
+            dict(zip(CIRCLE_KEYS, (x, y, r, 0.0002))) for x, y, r in circles
+        ]
+    doc.update(angle_step_deg=step, quantities=quantities, recon=recon, emit=list(emit))
+    return doc
+
+
+WORK_SHAPES = {
+    # 320 slices x 180 angles and four inclusions, both quantities, one small recon
+    "forward_heavy": lambda d: _shaped(
+        d,
+        0.25,
+        1,
+        ["conductance", "avg_conductivity"],
+        [{"filters": ["ramlak"], "interps": ["nearest"], "grid_size": 64}],
+        emit=["sinogram_csv", "metrics_json"],
+        circles=[(15, 15, 9), (-15, 15, 7), (-15, -15, 6), (15, -15, 5)],
+    ),
+    # 80 slices x 180 angles, six filter x interp recons at grid 320
+    "recon_heavy": lambda d: _shaped(
+        d,
+        1.0,
+        1,
+        ["avg_conductivity"],
+        [
+            {
+                "filters": ["ramlak", "hann"],
+                "interps": ["nearest", "linear", "spline"],
+                "grid_size": 320,
+            }
+        ],
+    ),
+    # the large end-to-end config: 0.25 mm slices, 1 degree steps, grid 320
+    "large_e2e": lambda d: _shaped(
+        d,
+        0.25,
+        1,
+        ["avg_conductivity", "conductance"],
+        [{"filters": [f], "interps": ["linear"], "grid_size": 320} for f in ("none", "ramlak")],
+    ),
+}
+
+
+class TestWorkModel:
+    """The peak that config._work estimates is at least the traced peak of a warm
+    run_pipeline, and at most PEAK_FACTOR times it.  Measured: 1.13 for the
+    recon_heavy shape to 2.02 for three_perturbations_q5, whose 0.58 MB peak is
+    mostly the fixed part."""
+
+    PEAK_FACTOR = 2.5
+
+    def check(self, doc, tmp_path):
+        cfg = parse_config_dict({**doc, "output_dir": str(tmp_path / "out")})
+        run_pipeline(cfg)  # first-call allocations and caches are not the run's
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = _work(cfg)[1]
+        assert peak <= estimate <= self.PEAK_FACTOR * peak, (peak, estimate)
+
+    @pytest.mark.parametrize("name", ALL_FIXTURES)
+    def test_fixture(self, fixtures_dir, tmp_path, name):
+        self.check(json.loads((fixtures_dir / name).read_text()), tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(WORK_SHAPES))
+    def test_large_shape(self, fixtures_dir, tmp_path, name):
+        self.check(WORK_SHAPES[name](fixtures_dir), tmp_path)
 
 
 GRIDS = [40, 64, 80]
@@ -526,10 +630,34 @@ class TestRunPipeline:
             assert left == expected_left, k
             for name in left - {moved[k - 1] + ".tmp"}:
                 assert (out / name).read_bytes() == (full / name).read_bytes(), name
-            # a rerun that writes no sinogram still clears the killed run's temporary
+            # a rerun that writes no sinogram still clears the killed run's temporary,
+            # and every artifact the killed run finished
             run_pipeline(replace(cfg, output_dir=str(out), emit=("metrics_json",)))
-            assert not list(out.glob("*.tmp"))
-            assert not (out / "INCOMPLETE").exists()
+            assert {p.name for p in out.iterdir()} == {"metrics.json"}
+
+    def test_artifact_rule_matches_every_name_a_run_writes(self, tmp_path):
+        # every filter x interp, raw or not, at two grids: each name a run can write
+        doc = base_config(
+            quantities=["avg_conductivity", "conductance"],
+            recon=[
+                {
+                    "filters": [k.value for k in FilterKind],
+                    "interps": [k.value for k in InterpKind],
+                    "grid_size": g,
+                    "normalize": normalize,
+                }
+                for g in (8, 12)
+                for normalize in (True, False)
+            ],
+            output_dir=str(tmp_path / "out"),
+        )
+        run_pipeline(parse_config_dict(doc))
+        names = os.listdir(tmp_path / "out")
+        assert len(names) == 2 + 2 * 2 + 2 * 72 * 2 + 1  # CSVs, targets, images, metrics
+        for name in names:
+            assert _ARTIFACT.fullmatch(name) and _ARTIFACT.fullmatch(name + ".tmp"), name
+        for other in ("INCOMPLETE", "notes.txt", "target.png.bak", "target_g08.png", "x.png.tmp"):
+            assert not _ARTIFACT.fullmatch(other), other
 
     def test_multiple_grid_sizes_write_one_target_each(self, tmp_path):
         doc = base_config(
@@ -752,7 +880,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "key, value, fragment",
-        [("angle_step_deg", 1e-4, "sinogram values"), ("grid_size", 100000, "samples")],
+        [("angle_step_deg", 1e-4, "bytes at the peak"), ("grid_size", 100000, "bytes at the peak")],
+        ids=["angle_step_deg", "grid_size"],
     )
     def test_validate_rejects_work_over_cap(self, tmp_path, capsys, key, value, fragment):
         doc = base_config()
@@ -775,24 +904,53 @@ class TestCli:
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(doc))
         assert main(["validate", str(huge)]) == 2
-        assert "recon grid_size 31622" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "recon grid_size 31622, 80 ask for 64,997,432,676 bytes at the peak" in err
         assert main(["run", str(path), "--grid", "10000", "--quiet"]) == 2
-        assert "recon grid_size 10000" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "recon grid_size 10000 ask for 6,500,567,616 bytes at the peak" in err
         assert not (tmp_path / "out").exists()
 
     def test_grids_that_fit_only_alone_rejected(self, fixtures_dir, tmp_path, capsys, monkeypatch):
-        # 40 grid sizes near 6000: each is under the pixel cap, but their targets
-        # together would hold 11.6 GB before the first back projection
+        # 40 grid sizes near 4000: each fits alone, but their targets and disk masks
+        # together would hold 5.8 GB before the first back projection
         doc = json.loads((fixtures_dir / "one_perturbation_q10.json").read_text())
         doc["recon"] = [
-            {"filters": ["none"], "interps": ["linear"], "grid_size": g} for g in range(6000, 6040)
+            {"filters": ["none"], "interps": ["linear"], "grid_size": g} for g in range(4000, 4040)
         ]
         path = tmp_path / "many_grids.json"
         path.write_text(json.dumps(doc))
         monkeypatch.setattr(eit_fbp.cli, "run_pipeline", lambda cfg: pytest.fail("ran"))
-        assert max(g * g for g in range(6000, 6040)) <= MAX_RECON_PIXELS
+        for one in doc["recon"]:
+            parse_config_dict({**doc, "recon": [one]})
         assert main(["validate", str(path)]) == 2
-        assert "recon grid_size 6039, 6038" in capsys.readouterr().err
+        assert "recon grid_size 4039, 4038" in capsys.readouterr().err
+
+    def test_samples_over_cap_rejected(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        # one_perturbation_q10 at 1 degree steps with every filter x interp x normalize
+        # at grids 2350-2356: 504 results of at most 1e9 samples each, 5e11 together
+        doc = json.loads((fixtures_dir / "one_perturbation_q10.json").read_text())
+        doc["angle_step_deg"] = 1
+        doc["output_dir"] = str(tmp_path / "out")
+        doc["recon"] = [
+            {
+                "filters": [k.value for k in FilterKind],
+                "interps": [k.value for k in InterpKind],
+                "grid_size": g,
+                "normalize": normalize,
+            }
+            for g in range(2350, 2357)
+            for normalize in (True, False)
+        ]
+        path = tmp_path / "huge_work.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(eit_fbp.cli, "run_pipeline", lambda cfg: pytest.fail("ran"))
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "angle_step_deg 1 and recon grid_size 2356, 2355, 2354" in err
+            assert "ask for 502,281,531,360 back-projection samples, more than 1,000,000,000" in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_not_utf8_rejected(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -949,7 +1107,7 @@ class TestCli:
         # process holds it against the run as another process would
         out = tmp_path / "out"
         out.mkdir()
-        (out / "earlier.png.tmp").write_bytes(b"a temporary a new run would delete")
+        (out / "target.png.tmp").write_bytes(b"a temporary a new run would delete")
         argv = ["run", str(fixtures_dir / "one_perturbation_q10.json"), "--out", str(out)]
         held = os.open(out, os.O_RDONLY)
         try:
@@ -963,12 +1121,28 @@ class TestCli:
             os.close(held)
         assert main([*argv, "--quiet"]) == 0
         assert "metrics.json" in os.listdir(out)
-        assert not (out / "INCOMPLETE").exists() and not (out / "earlier.png.tmp").exists()
+        assert not (out / "INCOMPLETE").exists() and not (out / "target.png.tmp").exists()
         held = os.open(out, os.O_RDONLY)
         try:
             fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)  # the run let go of it
         finally:
             os.close(held)
+
+    def test_rerun_leaves_only_its_own_artifacts(self, fixtures_dir, tmp_path):
+        # an earlier config with more artifacts, most of them under other names
+        out = tmp_path / "out"
+        earlier = fixtures_dir / "two_perturbations_unfiltered_q5.json"
+        assert main(["run", str(earlier), "--grid", "40", "--out", str(out), "--quiet"]) == 0
+        before = set(os.listdir(out))
+        (out / "notes.txt").write_text("a file no run writes")
+        later = ["run", str(fixtures_dir / "one_perturbation_q10.json"), "--out", str(out)]
+        assert main([*later, "--quiet"]) == 0
+        doc = json.loads((out / "metrics.json").read_text())
+        named = {s["csv"] for s in doc["sinograms"]}
+        for entry in doc["targets"] + doc["results"]:
+            named |= {entry["pgm"], entry["png"]}
+        assert set(os.listdir(out)) == named | {"metrics.json", "notes.txt"}
+        assert len(before - named) > 10  # files of the earlier run that this one does not write
 
     def test_runtime_error_exit_code(self, fixtures_dir, tmp_path, capsys):
         clobber = tmp_path / "file_in_the_way"

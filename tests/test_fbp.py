@@ -835,9 +835,9 @@ class TestRowBlocks:
 
     @staticmethod
     def check_memory(angles, kind, cpus):
-        # config.MAX_RECON_PIXELS is sized from 48 bytes a pixel: 60 for each packed
-        # pixel, about 0.79 of them a pixel; the rest, a few per-thread KiB and O(grid)
-        # vectors, does not grow with grid^2
+        # 48 of the 56 bytes a pixel of the largest grid that config._work counts: 60
+        # for each packed pixel, about 0.79 of them a pixel; the rest, a few per-thread
+        # KiB and O(grid) vectors, does not grow with grid^2
         size = 400
         data = np.random.default_rng(3).standard_normal((40, len(angles)))
         sino = make_sinogram(data, angles, width=2.0)
