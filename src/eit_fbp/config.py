@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .fbp import FilterKind, InterpKind, ReconConfig
-from .phantom import Circle, Phantom, PhantomError, validate
+from .phantom import Circle, Phantom, PhantomError
 from .projector import InvalidAngleStep, Quantity, angle_count, slice_count
 
 EMIT_KINDS = ("sinogram_csv", "target_image", "recon_images", "metrics_json")
@@ -53,7 +53,8 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run: no recon config appears twice (both would write the same
+    """A valid run, however it is made: at least one quantity and one recon config, an
+    angle step that divides 180, no recon config twice (both would write the same
     artifacts), and :func:`_work` puts its work within MAX_SAMPLES and MAX_PEAK_BYTES."""
 
     phantom: Phantom
@@ -64,6 +65,14 @@ class RunConfig:
     emit: tuple[str, ...]
 
     def __post_init__(self):
+        if not self.quantities:
+            raise ValidationError("at least one quantity is required")
+        if not self.recon:
+            raise ValidationError("at least one reconstruction config is required")
+        try:
+            angle_count(self.angle_step)
+        except InvalidAngleStep as e:
+            raise ValidationError(str(e)) from e
         seen = set()
         for rc in self.recon:
             if rc in seen:
@@ -90,8 +99,8 @@ def _work(config: RunConfig) -> tuple[int, int]:
     """A run's back-projection samples, angles x grid^2 over every result, and an upper
     estimate of its peak traced bytes (tracemalloc), fitted on warm runs: 60 a sinogram value
     over (2R / w + 8) x (angles + 1), the padding for each angle's objects and a column's FFT;
-    56 a pixel of the largest grid, for a back projection and the image before it; 9 a pixel
-    of each distinct grid, for its target and disk mask; 8 KiB a result; and 0.5 MiB.  Both are
+    56 a pixel of the largest grid, where a back projection holds about 48; 9 a pixel of
+    each distinct grid, for its target and disk mask; 8 KiB a result; and 0.5 MiB.  Both are
     exact integers, so no grid overflows them, and no absurd slice count is ever built."""
     n_angles = angle_count(config.angle_step)
     slices = 2.0 * config.phantom.subject_radius / config.phantom.slice_width
@@ -122,9 +131,9 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def parse_config_dict(data: object) -> RunConfig:
-    """Build a validated RunConfig from an already-decoded JSON document."""
+    """Build a RunConfig, which checks its own rules, from a decoded JSON document."""
     top = _mapping(data, "config")
-    phantom = _parse_phantom(_take(top, "phantom", required=True))
+    fields = _parse_phantom(_take(top, "phantom", required=True))
     angle_step = _number(_take(top, "angle_step_deg", required=True), "angle_step_deg")
     quantities = _parse_quantities(_take(top, "quantities", required=True))
     recon = _take(top, "recon", required=True)
@@ -133,17 +142,10 @@ def parse_config_dict(data: object) -> RunConfig:
         raise ParseError(f"output_dir must be a string, got {type(output_dir).__name__}")
     emit = _parse_emit(_take(top, "emit", default=list(EMIT_KINDS)))
     _reject_unknown(top, "config")
-
-    # the phantom and the sweep are checked before anything is computed from them
     try:
-        validate(phantom)
+        phantom = Phantom(**fields)
     except PhantomError as e:
         raise ValidationError(f"invalid phantom: {e}") from e
-    try:
-        angle_count(angle_step)
-    except InvalidAngleStep as e:
-        raise ValidationError(str(e)) from e
-
     return RunConfig(
         phantom=phantom,
         angle_step=float(angle_step),
@@ -231,7 +233,8 @@ def _numbers(mapping: dict, keys: dict[str, str]) -> dict[str, float]:
     return {field: _number(_take(mapping, key, required=True), key) for key, field in keys.items()}
 
 
-def _parse_phantom(data: object) -> Phantom:
+def _parse_phantom(data: object) -> dict:
+    """The Phantom fields of ``data``, read but not yet checked."""
     m = _mapping(data, "phantom")
     dimensions = _numbers(m, PHANTOM_KEYS)
     raw = _take(m, "perturbations", default=[])
@@ -243,13 +246,11 @@ def _parse_phantom(data: object) -> Phantom:
         cm = _mapping(item, f"perturbations[{i}]")
         circles.append(Circle(**_numbers(cm, CIRCLE_KEYS)))
         _reject_unknown(cm, f"perturbations[{i}]")
-    return Phantom(**dimensions, perturbations=tuple(circles))
+    return {**dimensions, "perturbations": tuple(circles)}
 
 
 def _parse_quantities(data: object) -> tuple[Quantity, ...]:
     names = _names(data, [q.value for q in Quantity], "quantities")
-    if not names:
-        raise ValidationError("at least one quantity is required")
     # first-occurrence order, deduplicated
     return tuple(Quantity(name) for name in dict.fromkeys(names))
 
@@ -279,8 +280,6 @@ def _parse_recon(data: object, default_grid: int) -> tuple[ReconConfig, ...]:
                     )
                 except ValueError as e:
                     raise ValidationError(str(e)) from e
-    if not out:
-        raise ValidationError("at least one reconstruction config is required")
     return tuple(out)
 
 

@@ -347,20 +347,18 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     if errors:
         raise errors[0]
 
-    # the quarter turns land on pixels of other chunks, so they are added after every
-    # chunk's accumulator is in place.  On an odd grid's middle row or column both
-    # reflections read one element of xs or ys, so their values are bitwise equal, and
-    # a position listed twice in one statement gets the same value twice
+    # a chunk's quarter turns may reach a pixel before its accumulator does; both start
+    # at +0 and are only added to, so neither is -0, and 0 + acc == acc and
+    # acc + quarter == quarter + acc bit for bit.  On an odd grid's middle row or column
+    # both reflections read one element of xs or ys, so their values are bitwise equal,
+    # and a position listed twice in one statement gets the same value twice
     image = np.zeros((size, size))
     flat = image.reshape(-1)
-    for chunk, (acc, _) in zip(chunks, results):
+    for chunk, (acc, quarter) in zip(chunks, results):
         row = np.stack((rows[chunk], size - 1 - rows[chunk]))[None]  # along axis 1
         col = np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]  # along axis 0
-        flat[row * size + col] = acc
-    if turns:
-        for chunk, (_, quarter) in zip(chunks, results):
-            row = np.stack((rows[chunk], size - 1 - rows[chunk]))[None]
-            col = np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]
+        flat[row * size + col] += acc
+        if quarter is not None:
             # np.rot90 moves the quarter turns' pixel (row, col) to (size - 1 - col, row)
             flat[(size - 1 - col) * size + row] += quarter
     image *= math.pi / sino.n_angles

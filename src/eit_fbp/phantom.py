@@ -68,7 +68,7 @@ class Phantom:
 
     ``depth`` is the out-of-plane thickness of the subject; ``slice_width``
     is the width of the parallel strips the forward model cuts the disk into.
-    Construction does not validate; call :func:`validate` before use.
+    Construction, ``dataclasses.replace`` included, raises what :func:`validate` raises.
     """
 
     subject_radius: float
@@ -79,6 +79,7 @@ class Phantom:
 
     def __post_init__(self):
         object.__setattr__(self, "perturbations", tuple(self.perturbations))
+        validate(self)
 
 
 def validate(phantom: Phantom) -> Phantom:

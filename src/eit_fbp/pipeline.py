@@ -283,6 +283,7 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
                 stem = f"{QUANTITY_SHORT[quantity]}_{recon_stem(rc, config.recon)}"
                 entry.update(_write_images(out_dir, stem, image))
             doc["results"].append(entry)
+            del image  # so the next reconstruction's peak holds one image fewer
         del sino  # freed before the next sinogram is made, which reuses its blocks
 
     if "metrics_json" in emit:

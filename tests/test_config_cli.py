@@ -21,6 +21,7 @@ import eit_fbp.pipeline
 from eit_fbp import (
     FilterKind,
     InterpKind,
+    NonPositiveDimension,
     ParseError,
     Quantity,
     ReconConfig,
@@ -281,12 +282,39 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="grid_size 100000"):
             replace(cfg, recon=(replace(cfg.recon[0], grid_size=100000),))
 
-    def test_replaced_phantom_over_cap_rejected(self, fixtures_dir):
-        # 8e6 slices x 18 angles, about 1.2 GB a sinogram: every RunConfig is checked,
-        # not only a parsed one
+    @pytest.mark.parametrize(
+        "phantom, run, error, fragment",
+        [
+            # 8e6 slices x 18 angles, about 1.2 GB a sinogram
+            (
+                {"slice_width": 1e-5},
+                {},
+                ValidationError,
+                "slice_width_mm 1e-05, .* bytes at the peak",
+            ),
+            ({"slice_width": -1.0}, {}, NonPositiveDimension, "slice_width must be > 0"),
+            ({"slice_width": math.nan}, {}, NonPositiveDimension, "slice_width must be finite"),
+            ({"slice_width": 0.0}, {}, NonPositiveDimension, "slice_width must be > 0"),
+            ({}, {"quantities": ()}, ValidationError, "at least one quantity"),
+            ({}, {"recon": ()}, ValidationError, "at least one reconstruction"),
+            ({}, {"angle_step": 0.7}, ValidationError, "angle step 0.7 does not divide 180"),
+        ],
+        ids=[
+            "slice_width_over_cap",
+            "slice_width_negative",
+            "slice_width_nan",
+            "slice_width_zero",
+            "no_quantities",
+            "no_recon",
+            "angle_step",
+        ],
+    )
+    def test_replaced_config_rejected(self, fixtures_dir, phantom, run, error, fragment):
+        # a Phantom and a RunConfig check their own rules, so a config built from
+        # Python is checked as a parsed one is
         cfg = parse_config(fixtures_dir / "one_perturbation_q10.json")
-        with pytest.raises(ValidationError, match="slice_width_mm 1e-05, .* bytes at the peak"):
-            replace(cfg, phantom=replace(cfg.phantom, slice_width=1e-5))
+        with pytest.raises(error, match=fragment):
+            replace(cfg, phantom=replace(cfg.phantom, **phantom), **run)
 
 
 # Config documents for the property below: mostly well-formed, each number
@@ -418,8 +446,8 @@ WORK_SHAPES = {
 
 class TestWorkModel:
     """The peak that config._work estimates is at least the traced peak of a warm
-    run_pipeline, and at most PEAK_FACTOR times it.  Measured: 1.13 for the
-    recon_heavy shape to 2.02 for three_perturbations_q5, whose 0.58 MB peak is
+    run_pipeline, and at most PEAK_FACTOR times it.  Measured: 1.28 for the
+    recon_heavy shape to 2.22 for three_perturbations_q5, whose 0.53 MB peak is
     mostly the fixed part."""
 
     PEAK_FACTOR = 2.5

@@ -29,15 +29,15 @@ class TestValidate:
         assert validate(one_perturbation) is one_perturbation
 
     def test_perturbation_outside_subject(self):
-        ph = Phantom(40, 0.0005, 2, 1, (Circle(35, 0, 10, 0.0002),))
         with pytest.raises(PerturbationOutsideSubject) as exc:
-            validate(ph)
+            validate(Phantom(40, 0.0005, 2, 1, (Circle(35, 0, 10, 0.0002),)))
         assert exc.value.circle_index == 0
 
     def test_overlapping_perturbations(self):
-        ph = Phantom(40, 0.0005, 2, 1, (Circle(0, 0, 10, 0.0002), Circle(5, 0, 10, 0.0002)))
         with pytest.raises(OverlappingPerturbations) as exc:
-            validate(ph)
+            validate(
+                Phantom(40, 0.0005, 2, 1, (Circle(0, 0, 10, 0.0002), Circle(5, 0, 10, 0.0002)))
+            )
         assert exc.value.circle_indices == (0, 1)
 
     def test_touching_perturbations_allowed(self):
@@ -87,9 +87,8 @@ class TestValidate:
         ],
     )
     def test_bad_circle_named_by_index(self, circle):
-        ph = Phantom(40, 0.0005, 2, 1, (Circle(10, 10, 5, 0.0002), circle))
         with pytest.raises(NonPositiveDimension) as exc:
-            validate(ph)
+            validate(Phantom(40, 0.0005, 2, 1, (Circle(10, 10, 5, 0.0002), circle)))
         assert exc.value.circle_index == 1
         assert str(exc.value).startswith("perturbation 1:")
 
