@@ -24,11 +24,14 @@ quadrant, in (2, 2, M) buffers that hold M quadrant pixels at their four
 reflections: axis 0 is the column j or N - 1 - j and axis 1 the row i or
 N - 1 - i, so a mirror in x reverses axis 0 and a flip in y reverses axis 1.
 Large disks are split into contiguous chunks of the M pixels, one thread per
-usable CPU, each chunk with buffers of its own.  A reflected add never leaves its
-chunk, so every pixel sees the same operations in the same order, and the image
-is bit-identical for any CPU count.  At the end the accumulators are scattered
-into an image of zeros, the quarter turns at their turned positions, and only
-the pixels in the disk are written.
+usable CPU, each chunk with buffers of its own.  The calling thread allocates
+every chunk's buffers before any worker starts, and a worker only fills them:
+what a worker thread allocates comes from a glibc arena of its own, whose pages
+the stages after back projection, on the calling thread, cannot reuse.  A
+reflected add never leaves its chunk, so every pixel sees the same operations in
+the same order, and the image is bit-identical for any CPU count.  At the end
+the accumulators are scattered into an image of zeros, the quarter turns at
+their turned positions, and only the pixels in the disk are written.
 """
 
 from __future__ import annotations
@@ -255,6 +258,36 @@ def _groups(angles_deg: tuple[float, ...]) -> list[tuple[int, int | None, int | 
     return groups
 
 
+def _accumulate(planes: list, groups: list, interp: InterpKind, r: float, w: float) -> None:
+    """Back-project one chunk of quadrant pixels into the planes it is handed, allocating
+    nothing of their size.  ``planes`` holds the chunk's x (2, 1, m) and y (1, 2, m), its
+    float work planes t, value and spare and its int plane index, each (2, 2, m), then its
+    accumulator and the quarter turns' accumulator (or None), both at +0; the two
+    accumulators are filled, and the six planes before them are dropped from ``planes``
+    once the loop is done."""
+    x, y, t, value, spare, index, acc, quarter = planes
+    work = t, value, spare  # _evaluate's scratch is spare between calls
+    for th, table, mirror, turned, flipped in groups:
+        np.multiply(x, math.cos(th), out=t)
+        np.multiply(y, math.sin(th), out=spare)
+        t += spare
+        t += r
+        t -= w / 2.0
+        t /= w
+        _interpolate(table, interp, work, index)
+        acc += value
+        if mirror is not None:  # t at 180 - theta is t at theta mirrored in x
+            _evaluate(mirror, work, index)
+            acc[::-1] += value
+        if turned is not None:  # t at theta + 90 is t at theta turned a quarter
+            _evaluate(turned, work, index)
+            quarter += value
+        if flipped is not None:  # t at 90 - theta is that turn flipped in y
+            _evaluate(flipped, work, index)
+            quarter[:, ::-1] += value
+    del planes[:6]
+
+
 def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     """Accumulate the (already filtered) sinogram over the pixel grid.
 
@@ -270,7 +303,8 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     a quarter at the end; angles with no quarter turns, as in a sweep of an odd number of
     them, get no such accumulator.  When the buffers hold at least 2 * _MIN_BLOCK_PIXELS
     pixels, the M quadrant pixels are split across the usable CPUs into contiguous chunks
-    with buffers of their own; a reflected add stays in its chunk, so the image is
+    with buffers of their own, all allocated here before any worker starts (see
+    :func:`_accumulate`); a reflected add stays in its chunk, so the image is
     bit-identical for any number of them.
     """
     if sino.data.size == 0 or sino.n_angles == 0:
@@ -288,46 +322,25 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     half = (size + 1) // 2
     rows, cols = np.nonzero(inscribed_mask(size, r)[:half, :half])  # in row-major order
 
-    def accumulate(chunk: slice) -> tuple[np.ndarray, np.ndarray | None]:
-        """Back-project the quadrant pixels in ``chunk``: the accumulator and the quarter
-        turns' accumulator, each (2, 2, pixels in the chunk)."""
+    def chunk_planes(chunk: slice) -> list:
+        """The planes of the quadrant pixels in ``chunk``, as :func:`_accumulate` takes them."""
         x = xs[np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]]
         y = ys[np.stack((rows[chunk], size - 1 - rows[chunk]))[None]]
         shape = (2, 2, x.shape[2])
         acc = np.zeros(shape)
         quarter = np.zeros(shape) if turns else None
-        # _evaluate's scratch is spare between calls
-        work = t, value, spare = [np.empty(shape) for _ in range(3)]
-        index = np.empty(shape, dtype=int)
-        for th, table, mirror, turned, flipped in groups:
-            np.multiply(x, math.cos(th), out=t)
-            np.multiply(y, math.sin(th), out=spare)
-            t += spare
-            t += r
-            t -= w / 2.0
-            t /= w
-            _interpolate(table, config.interp, work, index)
-            acc += value
-            if mirror is not None:  # t at 180 - theta is t at theta mirrored in x
-                _evaluate(mirror, work, index)
-                acc[::-1] += value
-            if turned is not None:  # t at theta + 90 is t at theta turned a quarter
-                _evaluate(turned, work, index)
-                quarter += value
-            if flipped is not None:  # t at 90 - theta is that turn flipped in y
-                _evaluate(flipped, work, index)
-                quarter[:, ::-1] += value
-        return acc, quarter
+        work = [np.empty(shape) for _ in range(3)]
+        return [x, y, *work, np.empty(shape, dtype=int), acc, quarter]
 
     n = max(1, min(_usable_cpus(), 4 * len(rows) // _MIN_BLOCK_PIXELS))
     edges = [len(rows) * k // n for k in range(n + 1)]
     chunks = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    results: list = [None] * n  # each chunk's accumulator and quarter turns' accumulator
+    planes = [chunk_planes(chunk) for chunk in chunks]
     errors: list[BaseException] = []
 
     def run_chunk(k: int, done: _thread.LockType) -> None:
         try:
-            results[k] = accumulate(chunks[k])
+            _accumulate(planes[k], groups, config.interp, r, w)
         except BaseException as e:  # re-raised in the caller below
             errors.append(e)
         finally:
@@ -340,7 +353,7 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
         done.acquire()
         _thread.start_new_thread(run_chunk, (k, done))
     try:
-        results[0] = accumulate(chunks[0])
+        _accumulate(planes[0], groups, config.interp, r, w)
     finally:
         for done in running:
             done.acquire()  # released when its chunk's thread is done
@@ -354,7 +367,7 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     # and a position listed twice in one statement gets the same value twice
     image = np.zeros((size, size))
     flat = image.reshape(-1)
-    for chunk, (acc, quarter) in zip(chunks, results):
+    for chunk, (acc, quarter) in zip(chunks, planes):
         row = np.stack((rows[chunk], size - 1 - rows[chunk]))[None]  # along axis 1
         col = np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]  # along axis 0
         flat[row * size + col] += acc

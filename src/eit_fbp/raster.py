@@ -82,22 +82,32 @@ def rasterize_target(phantom: Phantom, grid_size: int) -> RasterImage:
     """Ground-truth conductivity map sampled at pixel centers.
 
     Each pixel inside the inscribed circle takes the conductivity of the
-    material whose disk contains its center; pixels outside it are 0.
+    material whose disk contains its center; pixels outside it are 0.  An
+    inclusion is tested only on the rows and columns whose centers lie within
+    its radius plus one pixel step of its center, a margin far wider than the
+    rounding of the test, so no pixel it contains is left out.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     r = phantom.subject_radius
     xs, ys = pixel_centers(grid_size, r)
-    gx = xs[None, :]
-    gy = ys[:, None]
+    step = 2.0 * r / grid_size
 
     img = np.zeros((grid_size, grid_size))
     inside = inscribed_mask(grid_size, r)
     img[inside] = 1.0 / phantom.subject_resistivity
     for c in phantom.perturbations:
-        hit = (gx - c.center_x) ** 2 + (gy - c.center_y) ** 2 <= c.radius * c.radius
-        img[hit & inside] = 1.0 / c.resistivity
+        rows = _within(ys, c.center_y, c.radius + step)
+        cols = _within(xs, c.center_x, c.radius + step)
+        d2 = (xs[None, cols] - c.center_x) ** 2 + (ys[rows, None] - c.center_y) ** 2
+        img[rows, cols][(d2 <= c.radius * c.radius) & inside[rows, cols]] = 1.0 / c.resistivity
     return RasterImage(img, r)
+
+
+def _within(centers: np.ndarray, center: float, reach: float) -> slice:
+    """The run of the monotonic ``centers`` within ``reach`` of ``center``."""
+    near = np.flatnonzero(np.abs(centers - center) <= reach)
+    return slice(near[0], near[-1] + 1) if near.size else slice(0, 0)
 
 
 def rescale(img: RasterImage, flat: float) -> tuple[np.ndarray, float, float]:

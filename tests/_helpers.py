@@ -3,8 +3,9 @@ scalar strip geometry kept as an independent reference for the projector, the
 full-grid sinogram that the projector's bands must equal bit for bit, the
 full-grid back projection that the disk layout must equal bit for bit, the
 one-call filter that the column blocks must equal bit for bit, the ``einsum``
-piece tables that nearest's table must equal, and the quadrant rule and the
-``compare`` arithmetic that the shared disk mask replaced."""
+piece tables that nearest's table must equal, the quadrant rule and the
+``compare`` arithmetic that the shared disk mask replaced, and the full-grid
+inclusion test that the target raster's windows must equal bit for bit."""
 
 from __future__ import annotations
 
@@ -259,6 +260,21 @@ def full_grid_back_project(sino: Sinogram, config: ReconConfig) -> np.ndarray:
     acc *= math.pi / sino.n_angles
     acc[~inscribed_mask(size, r)] = 0.0
     return acc
+
+
+def full_grid_rasterize_target(phantom: Phantom, grid_size: int) -> np.ndarray:
+    """The target raster as each inclusion was tested before: over the whole grid."""
+    r = phantom.subject_radius
+    xs, ys = pixel_centers(grid_size, r)
+    gx = xs[None, :]
+    gy = ys[:, None]
+    img = np.zeros((grid_size, grid_size))
+    inside = inscribed_mask(grid_size, r)
+    img[inside] = 1.0 / phantom.subject_resistivity
+    for c in phantom.perturbations:
+        hit = (gx - c.center_x) ** 2 + (gy - c.center_y) ** 2 <= c.radius * c.radius
+        img[hit & inside] = 1.0 / c.resistivity
+    return img
 
 
 def one_call_filter(values: np.ndarray, kind: FilterKind) -> np.ndarray:

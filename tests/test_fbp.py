@@ -833,6 +833,32 @@ class TestRowBlocks:
         assert "injected chunk failure" in (tmp_path / "out" / "INCOMPLETE").read_text()
         assert len(finished) == len(fbp._groups(sweep_angles(cfg.angle_step)))
 
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_chunk_allocates_no_plane(self, kind, cpus, monkeypatch):
+        # the caller allocates every chunk's planes before any worker starts, so a chunk,
+        # in the caller or in a worker thread, allocates nothing of their size: at grid
+        # 320 each of two chunks has about 2.2 MB of planes.  The chunks run one at a time
+        # here, each traced on its own
+        cpus(2)
+        accumulate = fbp._accumulate
+        one_at_a_time = threading.Lock()
+        peaks = []
+
+        def traced(*args):
+            with one_at_a_time:
+                tracemalloc.start()
+                try:
+                    accumulate(*args)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+        monkeypatch.setattr(fbp, "_accumulate", traced)
+        angles = sweep_angles(22.5)  # a group of four, a mirror pair and two lone angles
+        data = np.random.default_rng(5).standard_normal((80, len(angles)))
+        back_project(make_sinogram(data, angles), ReconConfig(FilterKind.NONE, kind, 320))
+        assert len(peaks) == 2 and max(peaks) < 64 * 1024
+
     @staticmethod
     def check_memory(angles, kind, cpus):
         # 48 of the 56 bytes a pixel of the largest grid that config._work counts: 60

@@ -4,10 +4,17 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from _helpers import fresh_array_compare, nearest_pixel_value
+from _helpers import (
+    fresh_array_compare,
+    full_grid_rasterize_target,
+    nearest_pixel_value,
+    random_phantom,
+)
 from eit_fbp import (
+    Circle,
     FilterKind,
     InterpKind,
+    Phantom,
     Quantity,
     RasterImage,
     ReconConfig,
@@ -16,6 +23,7 @@ from eit_fbp import (
     compute_sinogram,
     inscribed_mask,
     normalize_image,
+    pixel_centers,
     rasterize_target,
     reconstruct,
 )
@@ -87,6 +95,27 @@ class TestRasterizeTarget:
     def test_grid_size_too_small(self, homogeneous):
         with pytest.raises(ValueError):
             rasterize_target(homogeneous, 1)
+
+    # odd grids have a middle row and column; grid 2 has one pixel a quadrant
+    @pytest.mark.parametrize("size", [2, 3, 7, 64, 65, 320, 321])
+    def test_bytes_equal_full_grid(self, size):
+        # each inclusion is tested on a window of rows and columns; every pixel must get
+        # the bytes the whole-grid test gave it: inclusions touching the rim, random ones,
+        # and ones centred on a pixel centre whose radius is a whole number of pixel
+        # steps, so pixel centres lie on their edges up to rounding
+        rim = (Circle(30.0, 0.0, 10.0, 2e-4), Circle(-30.0, 0.0, 10.0, 3e-4), Circle(0.0, 25.0, 15.0, 4e-4))
+        rng = np.random.default_rng(size)
+        phantoms = [Phantom(40.0, 5e-4, 2.0, 1.0, rim), *(random_phantom(rng, 4) for _ in range(20))]
+        for _ in range(20):
+            extent = rng.uniform(25.0, 50.0)
+            xs, ys = pixel_centers(size, extent)
+            i, j = rng.choice(np.flatnonzero(np.abs(xs) <= extent / 2), 2)  # |ys[k]| == |xs[k]|
+            radius = min(rng.integers(1, size // 8 + 2) * 2.0 * extent / size, 0.25 * extent)
+            circle = Circle(float(xs[j]), float(ys[i]), float(radius), 1e-3)
+            phantoms.append(Phantom(extent, 5e-4, 2.0, 1.0, (circle,)))
+        for phantom in phantoms:
+            got = rasterize_target(phantom, size).pixels
+            assert got.tobytes() == full_grid_rasterize_target(phantom, size).tobytes()
 
     def test_resolution_consistency(self, one_perturbation):
         fine = rasterize_target(one_perturbation, 160).pixels
