@@ -262,29 +262,24 @@ def _accumulate(planes: list, groups: list, interp: InterpKind, r: float, w: flo
     """Back-project one chunk of quadrant pixels into the planes it is handed, allocating
     nothing of their size.  ``planes`` holds the chunk's x (2, 1, m) and y (1, 2, m), its
     float work planes t, value and spare and its int plane index, each (2, 2, m), then its
-    accumulator and the quarter turns' accumulator (or None), both at +0; the two
-    accumulators are filled, and the six planes before them are dropped from ``planes``
-    once the loop is done."""
+    accumulator and the quarter turns' accumulator, both at +0.  Each group's partners add
+    into their targets in turn, and one missing is skipped, so a sweep with no quarter turns
+    leaves the second accumulator at +0.  The six planes before the accumulators are
+    dropped from ``planes`` once the loop is done."""
     x, y, t, value, spare, index, acc, quarter = planes
     work = t, value, spare  # _evaluate's scratch is spare between calls
-    for th, table, mirror, turned, flipped in groups:
+    targets = acc[::-1], quarter, quarter[:, ::-1]  # mirror, quarter turn, flipped turn
+    for th, table, *partners in groups:
         np.multiply(x, math.cos(th), out=t)
         np.multiply(y, math.sin(th), out=spare)
         t += spare
         t += r
         t -= w / 2.0
         t /= w
-        _interpolate(table, interp, work, index)
-        acc += value
-        if mirror is not None:  # t at 180 - theta is t at theta mirrored in x
-            _evaluate(mirror, work, index)
-            acc[::-1] += value
-        if turned is not None:  # t at theta + 90 is t at theta turned a quarter
-            _evaluate(turned, work, index)
-            quarter += value
-        if flipped is not None:  # t at 90 - theta is that turn flipped in y
-            _evaluate(flipped, work, index)
-            quarter[:, ::-1] += value
+        acc += _interpolate(table, interp, work, index)
+        for partner, target in zip(partners, targets):
+            if partner is not None:
+                target += _evaluate(partner, work, index)
     del planes[:6]
 
 
@@ -300,8 +295,9 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     partners sit at fixed offsets, and other angle lists share less) shares one lateral
     grid: the mirror is added reversed on axis 0, and the two quarter turns go into a
     second accumulator, the flipped one reversed on axis 1, which lands on the image turned
-    a quarter at the end; angles with no quarter turns, as in a sweep of an odd number of
-    them, get no such accumulator.  When the buffers hold at least 2 * _MIN_BLOCK_PIXELS
+    a quarter at the end.  Every call has both accumulators; angles with no quarter turns,
+    as in a sweep of an odd number of them, leave the second at +0, and adding +0 to the
+    image changes no bit.  When the buffers hold at least 2 * _MIN_BLOCK_PIXELS
     pixels, the M quadrant pixels are split across the usable CPUs into contiguous chunks
     with buffers of their own, all allocated here before any worker starts (see
     :func:`_accumulate`); a reflected add stays in its chunk, so the image is
@@ -317,8 +313,6 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
         (math.radians(sino.angles_deg[g[0]]), *(None if i is None else tables[i] for i in g))
         for g in _groups(sino.angles_deg)
     ]
-    # a sweep with no quarter turns needs no accumulator for them
-    turns = any(turned is not None or flipped is not None for *_, turned, flipped in groups)
     half = (size + 1) // 2
     rows, cols = np.nonzero(inscribed_mask(size, r)[:half, :half])  # in row-major order
 
@@ -327,10 +321,8 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
         x = xs[np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]]
         y = ys[np.stack((rows[chunk], size - 1 - rows[chunk]))[None]]
         shape = (2, 2, x.shape[2])
-        acc = np.zeros(shape)
-        quarter = np.zeros(shape) if turns else None
         work = [np.empty(shape) for _ in range(3)]
-        return [x, y, *work, np.empty(shape, dtype=int), acc, quarter]
+        return [x, y, *work, np.empty(shape, dtype=int), np.zeros(shape), np.zeros(shape)]
 
     n = max(1, min(_usable_cpus(), 4 * len(rows) // _MIN_BLOCK_PIXELS))
     edges = [len(rows) * k // n for k in range(n + 1)]
@@ -371,9 +363,8 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
         row = np.stack((rows[chunk], size - 1 - rows[chunk]))[None]  # along axis 1
         col = np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]  # along axis 0
         flat[row * size + col] += acc
-        if quarter is not None:
-            # np.rot90 moves the quarter turns' pixel (row, col) to (size - 1 - col, row)
-            flat[(size - 1 - col) * size + row] += quarter
+        # np.rot90 moves the quarter turns' pixel (row, col) to (size - 1 - col, row)
+        flat[(size - 1 - col) * size + row] += quarter
     image *= math.pi / sino.n_angles
     return RasterImage(image, r)
 
