@@ -99,16 +99,17 @@ def _work(config: RunConfig) -> tuple[int, int]:
     """A run's back-projection samples, angles x grid^2 over every result, and an upper
     estimate of its peak traced bytes (tracemalloc), fitted on warm runs: 60 a sinogram value
     over (2R / w + 8) x (angles + 1), the padding for each angle's objects and a column's FFT;
-    56 a pixel of the largest grid, where a back projection holds about 48; 9 a pixel of
-    each distinct grid, for its target and disk mask; 8 KiB a result; and 0.5 MiB.  Both are
-    exact integers, so no grid overflows them, and no absurd slice count is ever built."""
+    46 a pixel of the largest grid, where a lone grid's run peaks at about 44; 2 a pixel of
+    each distinct grid, whose memoized disk mask holds 1 (targets are made per use, not
+    held); 8 KiB a result; and 0.5 MiB.  Both are exact integers, so no grid overflows them,
+    and no absurd slice count is ever built."""
     n_angles = angle_count(config.angle_step)
     slices = 2.0 * config.phantom.subject_radius / config.phantom.slice_width
     grids = {rc.grid_size for rc in config.recon}
     n = len(config.quantities)
     samples = n_angles * n * sum(rc.grid_size**2 for rc in config.recon)
-    peak = 60 * math.ceil(slices + 8) * (n_angles + 1) + 56 * max(grids, default=0) ** 2
-    peak += 9 * sum(g * g for g in grids) + 8192 * n * len(config.recon) + 2**19
+    peak = 60 * math.ceil(slices + 8) * (n_angles + 1) + 46 * max(grids, default=0) ** 2
+    peak += 2 * sum(g * g for g in grids) + 8192 * n * len(config.recon) + 2**19
     return samples, peak
 
 

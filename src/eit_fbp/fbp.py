@@ -204,14 +204,17 @@ def _interpolate(
     return _evaluate(table, work, index)
 
 
-def _evaluate(table: np.ndarray, work: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The pieces of ``table`` at ``index`` at the offsets in ``work[0]`` that
-    :func:`_interpolate` left; ``work[1]`` and ``work[2]`` are overwritten."""
+def _evaluate(table: np.ndarray | list, work: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The pieces of ``table``, its coefficient rows highest power first (a piece table or
+    a list of its rows), at ``index`` at the offsets in ``work[0]`` that :func:`_interpolate`
+    left; ``work[1]`` and ``work[2]`` are overwritten.  Each row gathers with the ndarray
+    ``take`` method, which skips the ``np.take`` wrapper's dispatch."""
     t, value, scratch = work
-    np.take(table[0], index, out=value, mode="clip")
-    for coefficients in table[1:]:
+    first, *rest = table
+    first.take(index, out=value, mode="clip")
+    for coefficients in rest:
         value *= t
-        value += np.take(coefficients, index, out=scratch, mode="clip")
+        value += coefficients.take(index, out=scratch, mode="clip")
     return value
 
 
@@ -262,17 +265,22 @@ def _accumulate(planes: list, groups: list, interp: InterpKind, r: float, w: flo
     """Back-project one chunk of quadrant pixels into the planes it is handed, allocating
     nothing of their size.  ``planes`` holds the chunk's x (2, 1, m) and y (1, 2, m), its
     float work planes t, value and spare and its int plane index, each (2, 2, m), then its
-    accumulator and the quarter turns' accumulator, both at +0.  Each group's partners add
-    into their targets in turn, and one missing is skipped, so a sweep with no quarter turns
+    accumulator and the quarter turns' accumulator, both at +0.  ``groups`` holds each
+    group's lead angle in radians and its members' tables, each a list of coefficient rows.
+    x cos(theta) and y sin(theta) go into (2, 1, m) and (1, 2, m) views of spare, and t is
+    their broadcast sum, so no full-size product is made.  Each group's partners add into
+    their targets in turn, and one missing is skipped, so a sweep with no quarter turns
     leaves the second accumulator at +0.  The six planes before the accumulators are
     dropped from ``planes`` once the loop is done."""
     x, y, t, value, spare, index, acc, quarter = planes
     work = t, value, spare  # _evaluate's scratch is spare between calls
+    halves = spare.reshape(4, -1)
+    x_cos, y_sin = halves[:2].reshape(x.shape), halves[2:].reshape(y.shape)
     targets = acc[::-1], quarter, quarter[:, ::-1]  # mirror, quarter turn, flipped turn
     for th, table, *partners in groups:
-        np.multiply(x, math.cos(th), out=t)
-        np.multiply(y, math.sin(th), out=spare)
-        t += spare
+        np.multiply(x, math.cos(th), out=x_cos)
+        np.multiply(y, math.sin(th), out=y_sin)
+        np.add(x_cos, y_sin, out=t)
         t += r
         t -= w / 2.0
         t /= w
@@ -281,6 +289,11 @@ def _accumulate(planes: list, groups: list, interp: InterpKind, r: float, w: flo
             if partner is not None:
                 target += _evaluate(partner, work, index)
     del planes[:6]
+
+
+def _reflected(index: np.ndarray, size: int) -> np.ndarray:
+    """``index`` and its reflection ``size - 1 - index``, stacked on a new first axis."""
+    return np.stack((index, size - 1 - index))
 
 
 def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
@@ -301,33 +314,39 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     pixels, the M quadrant pixels are split across the usable CPUs into contiguous chunks
     with buffers of their own, all allocated here before any worker starts (see
     :func:`_accumulate`); a reflected add stays in its chunk, so the image is
-    bit-identical for any number of them.
+    bit-identical for any number of them.  The quadrant's row and column indices are
+    dropped once every chunk's x and y are built, before the other buffers, and found
+    again from the quadrant's mask for the scatter, so the peak holds back projection's
+    buffers alone.  Each angle's table is split once into a list of its coefficient rows.
     """
     if sino.data.size == 0 or sino.n_angles == 0:
         raise EmptySinogram("sinogram has no data")
     size = config.grid_size
     r, w = sino.subject_radius, sino.slice_width
     xs, ys = pixel_centers(size, r)
-    tables = _pieces(sino.data.T, config.interp)
+    tables = [list(table) for table in _pieces(sino.data.T, config.interp)]
     groups = [
         (math.radians(sino.angles_deg[g[0]]), *(None if i is None else tables[i] for i in g))
         for g in _groups(sino.angles_deg)
     ]
     half = (size + 1) // 2
-    rows, cols = np.nonzero(inscribed_mask(size, r)[:half, :half])  # in row-major order
-
-    def chunk_planes(chunk: slice) -> list:
-        """The planes of the quadrant pixels in ``chunk``, as :func:`_accumulate` takes them."""
-        x = xs[np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]]
-        y = ys[np.stack((rows[chunk], size - 1 - rows[chunk]))[None]]
-        shape = (2, 2, x.shape[2])
-        work = [np.empty(shape) for _ in range(3)]
-        return [x, y, *work, np.empty(shape, dtype=int), np.zeros(shape), np.zeros(shape)]
+    quadrant = inscribed_mask(size, r)[:half, :half]
+    rows, cols = np.nonzero(quadrant)  # in row-major order
 
     n = max(1, min(_usable_cpus(), 4 * len(rows) // _MIN_BLOCK_PIXELS))
     edges = [len(rows) * k // n for k in range(n + 1)]
     chunks = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    planes = [chunk_planes(chunk) for chunk in chunks]
+    # every chunk's x and y first, so the quadrant's indices are dropped before the other
+    # planes are allocated and are not held at the peak; the scatter finds them again
+    planes = [
+        [xs[_reflected(cols[c], size)[:, None]], ys[_reflected(rows[c], size)[None]]]
+        for c in chunks
+    ]
+    del rows, cols
+    for xy in planes:
+        shape = (2, 2, xy[0].shape[2])
+        xy += [np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=int)]
+        xy += [np.zeros(shape), np.zeros(shape)]
     errors: list[BaseException] = []
 
     def run_chunk(k: int, done: _thread.LockType) -> None:
@@ -357,11 +376,12 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     # acc + quarter == quarter + acc bit for bit.  On an odd grid's middle row or column
     # both reflections read one element of xs or ys, so their values are bitwise equal,
     # and a position listed twice in one statement gets the same value twice
+    rows, cols = np.nonzero(quadrant)
     image = np.zeros((size, size))
     flat = image.reshape(-1)
     for chunk, (acc, quarter) in zip(chunks, planes):
-        row = np.stack((rows[chunk], size - 1 - rows[chunk]))[None]  # along axis 1
-        col = np.stack((cols[chunk], size - 1 - cols[chunk]))[:, None]  # along axis 0
+        row = _reflected(rows[chunk], size)[None]  # along axis 1
+        col = _reflected(cols[chunk], size)[:, None]  # along axis 0
         flat[row * size + col] += acc
         # np.rot90 moves the quarter turns' pixel (row, col) to (size - 1 - col, row)
         flat[(size - 1 - col) * size + row] += quarter

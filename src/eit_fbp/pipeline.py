@@ -16,6 +16,10 @@ of them with ``.tmp`` (see :data:`_ARTIFACT`), and nothing else.
 Artifacts are written in this order: the targets, then each quantity's CSV and
 the images of its results, in :func:`result_order`, then ``metrics.json``.
 
+A grid's normalized target is made once for its images, and made again for
+each result's ``compare``, after that result's back projection: none is held
+across results, so back projection's peak holds no target.
+
 CSV and image bytes depend only on the config, never on wall-clock state.  Each
 is encoded once: the CSV as ASCII bytes straight into one buffer of the file's
 length, image levels in the file's dtype.
@@ -238,18 +242,23 @@ def run_pipeline(config: RunConfig) -> list[MetricsReport]:
         os.close(lock)  # drops the lock
 
 
+def _target(config: RunConfig, grid: int) -> RasterImage:
+    """The normalized conductivity target at ``grid``."""
+    return normalize_image(rasterize_target(config.phantom, grid))
+
+
 def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
     emit = set(config.emit)
     doc: dict = {"config": config_to_dict(config), "sinograms": [], "targets": [], "results": []}
     reports: list[MetricsReport] = []
 
-    targets = {}
-    for grid in sorted({rc.grid_size for rc in config.recon}):
-        target = normalize_image(rasterize_target(config.phantom, grid))  # conductivity
-        targets[grid] = target
-        if "target_image" in emit:
+    # each grid's target is made here only for its images, and made again for each
+    # result's compare (see the module docstring)
+    if "target_image" in emit:
+        for grid in sorted({rc.grid_size for rc in config.recon}):
             stem = "target" + grid_suffix(grid, config.recon)
-            doc["targets"].append({"grid_size": grid, **_write_images(out_dir, stem, target)})
+            images = _write_images(out_dir, stem, _target(config, grid))
+            doc["targets"].append({"grid_size": grid, **images})
 
     # one quantity at a time, in result_order: its sinogram, its CSV, then its
     # results.  Every quantity then allocates and frees the same sizes in the
@@ -264,7 +273,7 @@ def _run(config: RunConfig, out_dir: Path) -> list[MetricsReport]:
         for _, rc in results:
             start = time.perf_counter()
             image = reconstruct(sino, rc)
-            metrics = compare(image, targets[rc.grid_size])
+            metrics = compare(image, _target(config, rc.grid_size))
             seconds = time.perf_counter() - start
             reports.append(metrics)
 

@@ -56,3 +56,45 @@ def test_config_list(ab):
     assert len(names) == len(set(names)) == 16
     grids = {name: grid for name, _, grid in ab.configs()}
     assert grids["large_e2e"] == 320 and grids["odd_sweep_grid321"] == 321
+
+
+END_TO_END = [
+    {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "ok_rate", "unit": "ratio", "better": "higher", "bound": 0.01},
+]
+
+
+def bench_line(run_s: float, ok_rate: float, correct: bool = True) -> dict:
+    """The last stdout line of one bench/run.py run."""
+    metrics = {"run_s": {"value": run_s, "unit": "s"}, "ok_rate": {"value": ok_rate, "unit": "ratio"}}
+    return {"correct": correct, "attempted": 10, "failed": 0, "metrics": metrics}
+
+
+def test_pairs_summary(ab):
+    parent = [0.40, 0.42, 0.44, 0.46, 0.48]
+    change = [0.38, 0.42, 0.40, 0.47, 0.36]  # better in pairs 1, 3 and 5; pair 2 ties
+    pairs = [
+        {"parent": bench_line(p, 1.0), "change": bench_line(c, 0.9 if k == 0 else 1.0, k != 4)}
+        for k, (p, c) in enumerate(zip(parent, change))
+    ]
+    summary = ab.summarize(pairs, END_TO_END)
+    assert summary["pairs"] == 5 and summary["correct"] is False
+    assert summary["runs_correct"] == {"parent": [True] * 5, "change": [True] * 4 + [False]}
+    run_s = summary["run_s"]
+    assert run_s["unit"] == "s"
+    assert run_s["parent"] == pytest.approx({"p25": 0.41, "median": 0.44, "p75": 0.47, "runs": parent})
+    assert run_s["change"]["median"] == 0.40 and run_s["change"]["runs"] == change
+    assert run_s["change_better_in"] == 3
+    assert run_s["median_change_worse_by"] == pytest.approx((0.40 - 0.44) / 0.44)
+    # higher is better: the change's lower ok_rate in pair 1 is worse, and no pair wins
+    ok = summary["ok_rate"]
+    assert ok["change_better_in"] == 0
+    assert ok["median_change_worse_by"] == 0
+    assert ok["change"]["p25"] == pytest.approx(0.95)
+
+
+def test_pairs_is_the_only_other_mode(ab, tmp_path):
+    with pytest.raises(SystemExit):
+        ab.main(["--outputs", str(tmp_path), "--pairs", str(tmp_path)])
+    with pytest.raises(SystemExit):
+        ab.main(["--pairs", str(tmp_path)])  # no src/eit_fbp there

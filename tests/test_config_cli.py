@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eit_fbp.cli
+import eit_fbp.fbp as fbp
 import eit_fbp.pipeline
 from eit_fbp import (
     FilterKind,
@@ -243,16 +244,16 @@ class TestParseConfig:
                 ),
                 "angle_step_deg 180 and recon grid_size 31622 ask for [\\d,]+ bytes at the peak",
             ),
-            # each grid alone is under the byte cap; the run holds a target at both
+            # each grid alone is under the byte cap; the run holds a disk mask at both
             (
                 lambda d: d.update(
                     angle_step_deg=180,
                     recon=[
                         {"filters": [f], "interps": ["linear"], "grid_size": g}
-                        for f, g in (("none", 4000), ("none", 5500), ("ramlak", 4000))
+                        for f, g in (("none", 4000), ("none", 6420), ("ramlak", 4000))
                     ],
                 ),
-                "recon grid_size 5500, 4000 ask for 2,110,809,424 bytes at the peak",
+                "recon grid_size 6420, 4000 ask for 2,010,946,624 bytes at the peak",
             ),
         ],
         ids=[
@@ -446,8 +447,8 @@ WORK_SHAPES = {
 
 class TestWorkModel:
     """The peak that config._work estimates is at least the traced peak of a warm
-    run_pipeline, and at most PEAK_FACTOR times it.  Measured: 1.28 for the
-    recon_heavy shape to 2.22 for three_perturbations_q5, whose 0.53 MB peak is
+    run_pipeline, and at most PEAK_FACTOR times it.  Measured: 1.20 for the
+    recon_heavy shape to 2.29 for three_perturbations_q5, whose 0.46 MB peak is
     mostly the fixed part."""
 
     PEAK_FACTOR = 2.5
@@ -471,6 +472,39 @@ class TestWorkModel:
     @pytest.mark.parametrize("name", sorted(WORK_SHAPES))
     def test_large_shape(self, fixtures_dir, tmp_path, name):
         self.check(WORK_SHAPES[name](fixtures_dir), tmp_path)
+
+    def test_back_projection_holds_only_its_planes(self, fixtures_dir, tmp_path, monkeypatch):
+        # when a chunk starts accumulating, the traced bytes exceed the planes of every
+        # chunk of that back projection by less than one float image: the run holds no
+        # target and back projection no quadrant indices meanwhile, which would add
+        # 800 KiB and 315 KiB at grid 320
+        grid = 320
+        doc = json.loads((fixtures_dir / "one_perturbation_q10.json").read_text())
+        cfg = parse_config_dict({**doc, "output_dir": str(tmp_path / "out")})
+        cfg = replace(cfg, recon=tuple(replace(rc, grid_size=grid) for rc in cfg.recon))
+        run_pipeline(cfg)  # first-call allocations and caches are not the run's
+        back_project, accumulate = fbp.back_project, fbp._accumulate
+        calls, entries = [], []  # entries: (call, traced bytes, bytes of the chunk's planes)
+
+        def counted(*args):
+            calls.append(len(calls))
+            return back_project(*args)
+
+        def traced(planes, *args):
+            bytes_now = tracemalloc.get_traced_memory()[0]
+            entries.append((calls[-1], bytes_now, sum(p.nbytes for p in planes)))
+            return accumulate(planes, *args)
+
+        monkeypatch.setattr(fbp, "back_project", counted)
+        monkeypatch.setattr(fbp, "_accumulate", traced)
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+        finally:
+            tracemalloc.stop()
+        planes = [sum(b for k, _, b in entries if k == call) for call in calls]
+        excess = [traced_bytes - planes[k] for k, traced_bytes, _ in entries]
+        assert len(calls) == 4 and max(excess) < 8 * grid * grid, excess
 
 
 GRIDS = [40, 64, 80]
@@ -933,15 +967,15 @@ class TestCli:
         huge.write_text(json.dumps(doc))
         assert main(["validate", str(huge)]) == 2
         err = capsys.readouterr().err
-        assert "recon grid_size 31622, 80 ask for 64,997,432,676 bytes at the peak" in err
+        assert "recon grid_size 31622, 80 ask for 47,998,222,848 bytes at the peak" in err
         assert main(["run", str(path), "--grid", "10000", "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "recon grid_size 10000 ask for 6,500,567,616 bytes at the peak" in err
+        assert "recon grid_size 10000 ask for 4,800,567,616 bytes at the peak" in err
         assert not (tmp_path / "out").exists()
 
     def test_grids_that_fit_only_alone_rejected(self, fixtures_dir, tmp_path, capsys, monkeypatch):
-        # 40 grid sizes near 4000: each fits alone, but their targets and disk masks
-        # together would hold 5.8 GB before the first back projection
+        # 40 grid sizes near 4000: each fits alone, but the estimate's 2 bytes a pixel
+        # of each distinct grid, for its disk mask, put them together over the cap
         doc = json.loads((fixtures_dir / "one_perturbation_q10.json").read_text())
         doc["recon"] = [
             {"filters": ["none"], "interps": ["linear"], "grid_size": g} for g in range(4000, 4040)

@@ -861,9 +861,10 @@ class TestRowBlocks:
 
     @staticmethod
     def check_memory(angles, kind, cpus):
-        # 48 of the 56 bytes a pixel of the largest grid that config._work counts: 60
-        # for each packed pixel, about 0.79 of them a pixel; the rest, a few per-thread
-        # KiB and O(grid) vectors, does not grow with grid^2
+        # the 46 bytes a pixel of the largest grid that config._work counts: 56 for
+        # each packed pixel's planes, about 0.79 of them a pixel, and the quadrant's
+        # indices are not held with them; the rest, a few per-thread KiB and O(grid)
+        # vectors, does not grow with grid^2
         size = 400
         data = np.random.default_rng(3).standard_normal((40, len(angles)))
         sino = make_sinogram(data, angles, width=2.0)
@@ -881,7 +882,7 @@ class TestRowBlocks:
 
         single, split = peak(1), peak(4)
         assert split <= single + 3 * 4096  # 4 KiB per extra thread
-        assert split <= 48 * size * size + 48 * 1024
+        assert split <= 46 * size * size + 48 * 1024
 
     @pytest.mark.parametrize("kind", list(InterpKind))
     def test_memory_does_not_grow_with_blocks(self, kind, cpus):

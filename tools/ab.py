@@ -10,6 +10,16 @@ every ``metrics.json`` field but ``seconds`` and ``output_dir`` exactly.  This
 checkout's one-CPU and all-CPU outputs must match each other the same way.  It
 prints one line per difference and exits 1 if there is any, 0 if there is none.
 Runs go one at a time, into a temporary directory that is removed at the end.
+
+    python3 tools/ab.py --pairs PARENT_DIR
+
+runs, for each workload in ``BENCHMARK.json``, :data:`PAIRS` pairs of
+``bench/run.py --seed 1 --seconds <run_seconds>``, one run from each tree, in
+that tree and one at a time, alternating which side goes first.  It prints one
+JSON object: for each workload and end-to-end metric, both sides' runs with
+their p25, median and p75, the pairs the change wins and how much worse its
+median is (see :func:`summarize`), each run's ``correct``, and the machine facts.
+Each run writes under its own tree's ``.bench_out/``.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import argparse
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -27,6 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 IGNORED_FIELDS = {"seconds", "output_dir"}
 RUN_TIMEOUT_S = 300
+PAIRS = 10
+SIDES = ("parent", "change")
+MACHINE_FACTS = ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads")
 
 
 def _workloads():
@@ -170,19 +184,101 @@ def outputs(parent: Path) -> int:
     return 1 if failures else 0
 
 
+def bench_run(tree: Path, workload: str, seconds: float) -> tuple[dict, dict]:
+    """One ``bench/run.py`` run of ``tree``: its last stdout line, and its machine facts."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload]
+    cmd += ["--seed", "1", "--seconds", str(seconds)]
+    child = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if child.returncode != 0:
+        raise SystemExit(f"{tree}: {workload} exited {child.returncode}: {child.stderr[-500:]}")
+    record = json.loads((tree / ".bench_out" / workload / "result.json").read_text())
+    return json.loads(child.stdout.splitlines()[-1]), record["machine"]
+
+
+def _quartiles(values: list[float]) -> dict:
+    p25, median, p75 = statistics.quantiles(values, n=4, method="exclusive")
+    return {"p25": p25, "median": median, "p75": p75, "runs": values}
+
+
+def summarize(pairs: list[dict[str, dict]], end_to_end: list[dict]) -> dict:
+    """One workload's summary from its ``pairs``, each the last stdout line of
+    ``bench/run.py`` by side, for every metric in ``end_to_end`` (BENCHMARK.json's
+    entries).  ``change_better_in`` counts the pairs where the change is better, ties
+    counting for neither; ``median_change_worse_by`` is (change - parent) / parent of
+    the medians, negated where higher is better."""
+    out = {
+        "pairs": len(pairs),
+        "correct": all(pair[side]["correct"] for pair in pairs for side in SIDES),
+        "runs_correct": {side: [pair[side]["correct"] for pair in pairs] for side in SIDES},
+    }
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        runs = {side: [pair[side]["metrics"][name]["value"] for pair in pairs] for side in SIDES}
+        parent, change = (statistics.median(runs[side]) for side in SIDES)
+        wins = zip(runs["parent"], runs["change"])
+        out[name] = {
+            "unit": metric["unit"],
+            **{side: _quartiles(runs[side]) for side in SIDES},
+            "change_better_in": sum(sign * (c - p) < 0 for p, c in wins),
+            "median_change_worse_by": sign * (change - parent) / parent if parent else None,
+        }
+    return out
+
+
+def pairs_mode(parent: Path) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    trees = {"parent": parent, "change": ROOT}
+    doc = {
+        "command": f"bench/run.py --workload <name> --seed 1 --seconds {seconds}",
+        "method": (
+            f"{PAIRS} pairs a workload of one run from each tree, in that tree, one at a "
+            "time, alternating which side runs first ('first'); each metric is the value "
+            "bench/run.py reports for one run; p25/median/p75 are over one side's runs "
+            "(statistics.quantiles, exclusive)"
+        ),
+        "machine": {},
+        "workloads": {},
+    }
+    for workload in (w["name"] for w in bench["workloads"]):
+        first = [SIDES[k % 2] for k in range(PAIRS)]
+        pairs = []
+        for k, lead in enumerate(first):
+            pair = {}
+            for side in (lead, *(s for s in SIDES if s != lead)):
+                pair[side], machine = bench_run(trees[side], workload, seconds)
+                doc["machine"] = {key: machine.get(key) for key in MACHINE_FACTS}
+                value = pair[side]["metrics"]["run_s"]["value"]
+                print(f"{workload} pair {k + 1}/{PAIRS} {side}: run_s {value:.4f}", file=sys.stderr)
+            pairs.append(pair)
+        summary = summarize(pairs, bench["end_to_end"])
+        doc["workloads"][workload] = {"seed": 1, "seconds": seconds, "first": first, **summary}
+    print(json.dumps(doc, indent=1))
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
         "--outputs",
         metavar="PARENT_DIR",
         type=Path,
-        required=True,
         help="checkout to compare this one's outputs with",
     )
+    mode.add_argument(
+        "--pairs",
+        metavar="PARENT_DIR",
+        type=Path,
+        help="checkout to run the benchmark against in alternating pairs",
+    )
     args = parser.parse_args(argv)
-    if not (args.outputs / "src" / "eit_fbp").is_dir():
-        parser.error(f"{args.outputs} has no src/eit_fbp")
-    return outputs(args.outputs.resolve())
+    parent = args.outputs or args.pairs
+    if not (parent / "src" / "eit_fbp").is_dir():
+        parser.error(f"{parent} has no src/eit_fbp")
+    if args.pairs:
+        return pairs_mode(parent.resolve())
+    return outputs(parent.resolve())
 
 
 if __name__ == "__main__":
