@@ -20,18 +20,19 @@ last bit of cos 90.  Sharing changes the order of the sums, so images match
 earlier releases to rounding level rather than bit for bit.
 
 Only the inscribed disk is back-projected.  Its pixels are stored once per
-quadrant, in (2, 2, M) buffers that hold M quadrant pixels at their four
-reflections: axis 0 is the column j or N - 1 - j and axis 1 the row i or
-N - 1 - i, so a mirror in x reverses axis 0 and a flip in y reverses axis 1.
+quadrant, in (2, 2, M) buffers whose plane (a, b) holds the M quadrant pixels of
+the image reversed in x if a and in y if b, so a mirror in x reverses axis 0 and
+a flip in y reverses axis 1.  No pixel index is built: x and y are the
+quadrant's mask applied to the centres and to them reversed, and at the end each
+accumulator is unfolded through the same four views into an image of zeros.
 Large disks are split into contiguous chunks of the M pixels, one thread per
-usable CPU, each chunk with buffers of its own.  The calling thread allocates
-every chunk's buffers before any worker starts, and a worker only fills them:
-what a worker thread allocates comes from a glibc arena of its own, whose pages
-the stages after back projection, on the calling thread, cannot reuse.  A
-reflected add never leaves its chunk, so every pixel sees the same operations in
-the same order, and the image is bit-identical for any CPU count.  At the end
-the accumulators are scattered into an image of zeros, the quarter turns at
-their turned positions, and only the pixels in the disk are written.
+usable CPU, each chunk with views of x, y and the accumulators and work buffers
+of its own.  The calling thread allocates every buffer before any worker starts,
+and a worker only fills them: what a worker thread allocates comes from a glibc
+arena of its own, whose pages the stages after back projection, on the calling
+thread, cannot reuse.  A reflected add never leaves its chunk, so every pixel
+sees the same operations in the same order, and the image is bit-identical for
+any CPU count.
 """
 
 from __future__ import annotations
@@ -79,6 +80,11 @@ class ReconConfig:
     normalize: bool = True
 
     def __post_init__(self):
+        kinds = {"filter": FilterKind, "interp": InterpKind, "grid_size": int, "normalize": bool}
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if type(value) is not kind:  # exactly: True is an int but not a grid size
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if self.grid_size < 2:
             raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
 
@@ -106,7 +112,9 @@ def _gains(kind: FilterKind, f: np.ndarray) -> np.ndarray:
         return f * np.cos(np.pi * f / 2.0)
     if kind is FilterKind.HAMMING:
         return f * (0.54 + 0.46 * np.cos(np.pi * f))
-    return f * 0.5 * (1.0 + np.cos(np.pi * f))  # Hann
+    if kind is FilterKind.HANN:
+        return f * 0.5 * (1.0 + np.cos(np.pi * f))
+    raise ValueError(f"filter must be of type FilterKind, got {kind!r}")
 
 
 def filter_projection(p: Projection, kind: FilterKind) -> Projection:
@@ -263,15 +271,15 @@ def _groups(angles_deg: tuple[float, ...]) -> list[tuple[int, int | None, int | 
 
 def _accumulate(planes: list, groups: list, interp: InterpKind, r: float, w: float) -> None:
     """Back-project one chunk of quadrant pixels into the planes it is handed, allocating
-    nothing of their size.  ``planes`` holds the chunk's x (2, 1, m) and y (1, 2, m), its
-    float work planes t, value and spare and its int plane index, each (2, 2, m), then its
-    accumulator and the quarter turns' accumulator, both at +0.  ``groups`` holds each
-    group's lead angle in radians and its members' tables, each a list of coefficient rows.
-    x cos(theta) and y sin(theta) go into (2, 1, m) and (1, 2, m) views of spare, and t is
-    their broadcast sum, so no full-size product is made.  Each group's partners add into
-    their targets in turn, and one missing is skipped, so a sweep with no quarter turns
-    leaves the second accumulator at +0.  The six planes before the accumulators are
-    dropped from ``planes`` once the loop is done."""
+    nothing of their size.  ``planes`` holds the chunk's views of x (2, 1, m) and y
+    (1, 2, m), its own float work planes t, value and spare and int plane index, each
+    (2, 2, m), then its views of the accumulator and of the quarter turns' accumulator,
+    both at +0.  ``groups`` holds each group's lead angle in radians and its members'
+    tables, each a list of coefficient rows.  x cos(theta) and y sin(theta) go into
+    (2, 1, m) and (1, 2, m) views of spare, and t is their broadcast sum, so no full-size
+    product is made.  Each group's partners add into their targets in turn, and one
+    missing is skipped, so a sweep with no quarter turns leaves the second accumulator at
+    +0."""
     x, y, t, value, spare, index, acc, quarter = planes
     work = t, value, spare  # _evaluate's scratch is spare between calls
     halves = spare.reshape(4, -1)
@@ -288,12 +296,18 @@ def _accumulate(planes: list, groups: list, interp: InterpKind, r: float, w: flo
         for partner, target in zip(partners, targets):
             if partner is not None:
                 target += _evaluate(partner, work, index)
-    del planes[:6]
 
 
-def _reflected(index: np.ndarray, size: int) -> np.ndarray:
-    """``index`` and its reflection ``size - 1 - index``, stacked on a new first axis."""
-    return np.stack((index, size - 1 - index))
+def _unfold(packed: np.ndarray, quadrant: np.ndarray, size: int) -> np.ndarray:
+    """A (size x size) image of zeros with ``packed[a, b]`` written at the ``quadrant`` mask
+    of the image's view reversed in x if a and in y if b.  An odd grid's middle row and
+    column are written by both their reflections, with bitwise-equal values, so they are
+    assigned, not added."""
+    image = np.zeros((size, size))
+    half = (size + 1) // 2
+    for a, b in np.ndindex(2, 2):
+        image[:: 1 - 2 * b, :: 1 - 2 * a][:half, :half][quadrant] = packed[a, b]
+    return image
 
 
 def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
@@ -302,22 +316,17 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     Pixel centers span [-R, R]^2; each angle contributes its sampled column
     times d_theta = pi / n_angles at the pixels inside the inscribed circle, and
     every other pixel is 0, which covers every pixel with |s| > R.  Only the disk is
-    back-projected: each of the M pixels of its top-left quadrant (see :func:`inscribed_mask`)
-    is stored with its reflections in x and y, in (2, 2, M) buffers whose axis 0 is the
-    column j or size - 1 - j and axis 1 the row i or size - 1 - i.  Each group of angles (see :func:`_groups`: a sweep's
-    partners sit at fixed offsets, and other angle lists share less) shares one lateral
-    grid: the mirror is added reversed on axis 0, and the two quarter turns go into a
-    second accumulator, the flipped one reversed on axis 1, which lands on the image turned
-    a quarter at the end.  Every call has both accumulators; angles with no quarter turns,
-    as in a sweep of an odd number of them, leave the second at +0, and adding +0 to the
-    image changes no bit.  When the buffers hold at least 2 * _MIN_BLOCK_PIXELS
-    pixels, the M quadrant pixels are split across the usable CPUs into contiguous chunks
-    with buffers of their own, all allocated here before any worker starts (see
-    :func:`_accumulate`); a reflected add stays in its chunk, so the image is
-    bit-identical for any number of them.  The quadrant's row and column indices are
-    dropped once every chunk's x and y are built, before the other buffers, and found
-    again from the quadrant's mask for the scatter, so the peak holds back projection's
-    buffers alone.  Each angle's table is split once into a list of its coefficient rows.
+    back-projected, in the (2, 2, M) layout of the module docstring: x and y are the
+    quadrant's mask (see :func:`inscribed_mask`) applied to the centres and to them
+    reversed.  Each group of angles (see :func:`_groups`) shares one lateral grid: the
+    mirror is added reversed on axis 0, and the two quarter turns go into a second
+    accumulator, the flipped one reversed on axis 1.  Angles with no quarter turns, as in
+    a sweep of an odd number of them, leave it at +0, which changes no bit of the image.
+    When the buffers hold at least 2 * _MIN_BLOCK_PIXELS pixels, the M pixels are split
+    across the usable CPUs into contiguous chunks, all of whose planes are allocated here
+    before any worker starts (see :func:`_accumulate`).  Both accumulators are then
+    unfolded (see :func:`_unfold`), the second turned a quarter.  Each angle's table is
+    split once into a list of its coefficient rows.
     """
     if sino.data.size == 0 or sino.n_angles == 0:
         raise EmptySinogram("sinogram has no data")
@@ -331,22 +340,21 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
     ]
     half = (size + 1) // 2
     quadrant = inscribed_mask(size, r)[:half, :half]
-    rows, cols = np.nonzero(quadrant)  # in row-major order
 
-    n = max(1, min(_usable_cpus(), 4 * len(rows) // _MIN_BLOCK_PIXELS))
-    edges = [len(rows) * k // n for k in range(n + 1)]
-    chunks = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    # every chunk's x and y first, so the quadrant's indices are dropped before the other
-    # planes are allocated and are not held at the peak; the scatter finds them again
-    planes = [
-        [xs[_reflected(cols[c], size)[:, None]], ys[_reflected(rows[c], size)[None]]]
-        for c in chunks
-    ]
-    del rows, cols
-    for xy in planes:
-        shape = (2, 2, xy[0].shape[2])
-        xy += [np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=int)]
-        xy += [np.zeros(shape), np.zeros(shape)]
+    def gather(v):  # v, and v reversed, broadcast over the quadrant and read at its pixels
+        return np.stack([np.broadcast_to(c[:half], quadrant.shape)[quadrant] for c in (v, v[::-1])])
+
+    x, y = gather(xs)[:, None], gather(ys[:, None])[None]
+    m = x.shape[2]
+
+    n = max(1, min(_usable_cpus(), 4 * m // _MIN_BLOCK_PIXELS))
+    edges = [m * k // n for k in range(n + 1)]
+    acc, quarter = np.zeros((2, 2, m)), np.zeros((2, 2, m))
+    planes = []
+    for c in (np.s_[..., a:b] for a, b in zip(edges, edges[1:])):
+        shape = acc[c].shape
+        work = np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=int)
+        planes.append([x[c], y[c], *work, acc[c], quarter[c]])
     errors: list[BaseException] = []
 
     def run_chunk(k: int, done: _thread.LockType) -> None:
@@ -370,21 +378,12 @@ def back_project(sino: Sinogram, config: ReconConfig) -> RasterImage:
             done.acquire()  # released when its chunk's thread is done
     if errors:
         raise errors[0]
+    del planes, work, x, y  # only the accumulators are held through the unfold
 
-    # a chunk's quarter turns may reach a pixel before its accumulator does; both start
-    # at +0 and are only added to, so neither is -0, and 0 + acc == acc and
-    # acc + quarter == quarter + acc bit for bit.  On an odd grid's middle row or column
-    # both reflections read one element of xs or ys, so their values are bitwise equal,
-    # and a position listed twice in one statement gets the same value twice
-    rows, cols = np.nonzero(quadrant)
-    image = np.zeros((size, size))
-    flat = image.reshape(-1)
-    for chunk, (acc, quarter) in zip(chunks, planes):
-        row = _reflected(rows[chunk], size)[None]  # along axis 1
-        col = _reflected(cols[chunk], size)[:, None]  # along axis 0
-        flat[row * size + col] += acc
-        # np.rot90 moves the quarter turns' pixel (row, col) to (size - 1 - col, row)
-        flat[(size - 1 - col) * size + row] += quarter
+    # both accumulators start at +0 and are only added to, so neither is -0, and each
+    # disk pixel gets acc + quarter as it would from 0 + acc + quarter
+    image = _unfold(acc, quadrant, size)
+    image += np.rot90(_unfold(quarter, quadrant, size))
     image *= math.pi / sino.n_angles
     return RasterImage(image, r)
 

@@ -476,8 +476,8 @@ class TestWorkModel:
     def test_back_projection_holds_only_its_planes(self, fixtures_dir, tmp_path, monkeypatch):
         # when a chunk starts accumulating, the traced bytes exceed the planes of every
         # chunk of that back projection by less than one float image: the run holds no
-        # target and back projection no quadrant indices meanwhile, which would add
-        # 800 KiB and 315 KiB at grid 320
+        # target and back projection no pixel indices meanwhile, which would add
+        # 800 KiB, and 315 KiB for the quadrant's rows and columns, at grid 320
         grid = 320
         doc = json.loads((fixtures_dir / "one_perturbation_q10.json").read_text())
         cfg = parse_config_dict({**doc, "output_dir": str(tmp_path / "out")})

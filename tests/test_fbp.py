@@ -87,6 +87,13 @@ class TestFilterGain:
         with pytest.raises(FrequencyOutOfRange):
             filter_gain(FilterKind.HANN, 1.01)
 
+    def test_unknown_kind_rejected(self):
+        # a kind's value is not a kind, and must not get the Hann gains
+        with pytest.raises(ValueError, match="filter must be of type FilterKind, got .ramlak."):
+            filter_gain("ramlak", 0.5)
+        with pytest.raises(ValueError, match="filter must be of type FilterKind"):
+            filter_projection(make_projection([1.0, 2.0, 3.0]), "hamming")
+
     def test_smoother_windows_attenuate_more(self):
         # hamming/cosine cross near f = 0.945, so only the provable orderings
         # are asserted on the full grid
@@ -468,6 +475,28 @@ class TestBackProject:
         with pytest.raises(ValueError):
             ReconConfig(FilterKind.NONE, InterpKind.LINEAR, 1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("filter", "ramlak", "filter must be of type FilterKind"),
+            ("filter", InterpKind.LINEAR, "filter must be of type FilterKind"),
+            ("interp", "linear", "interp must be of type InterpKind"),
+            ("grid_size", 32.0, "grid_size must be of type int"),
+            ("grid_size", True, "grid_size must be of type int"),
+            ("normalize", 1, "normalize must be of type bool"),
+            ("normalize", None, "normalize must be of type bool"),
+        ],
+    )
+    def test_field_of_wrong_type_rejected(self, field, value, message):
+        # rejected on construction, not by a later stage: a string filter would get the
+        # Hann gains and break config_to_dict, a string interp a KeyError, a float grid a
+        # TypeError
+        fields = {"filter": FilterKind.RAM_LAK, "interp": InterpKind.LINEAR, "grid_size": 32}
+        with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
+            ReconConfig(**{**fields, field: value})
+        with pytest.raises(ValueError, match=f"^{message}"):
+            replace(ReconConfig(**fields), **{field: value})
+
 
 class TestReconstruct:
     def test_flat_disk_is_flat(self, homogeneous):
@@ -708,6 +737,21 @@ class TestDiskLayout:
             got = back_project(sino, cfg).pixels
         assert got.tobytes() == full_grid_back_project(sino, cfg).tobytes()
 
+    @pytest.mark.parametrize("size", [320, 321])
+    @pytest.mark.parametrize("step", [22.5, 7.2], ids=["sweep_22.5", "odd_sweep_7.2"])
+    @pytest.mark.parametrize("kind", list(InterpKind))
+    def test_bytes_equal_full_grid_at_benchmark_grid(self, size, step, kind, monkeypatch):
+        # the benchmark's grid and the odd grid after it, in two chunks at the real
+        # _MIN_BLOCK_PIXELS: 22.5 has a group of four, 7.2 (25 angles) mirror pairs alone
+        monkeypatch.setattr(fbp, "_usable_cpus", lambda: 2)
+        assert packed_pixels(size, 40.0) >= 2 * fbp._MIN_BLOCK_PIXELS
+        angles = sweep_angles(step)
+        data = np.random.default_rng(size + len(angles)).standard_normal((80, len(angles)))
+        sino = make_sinogram(data, angles)
+        cfg = ReconConfig(FilterKind.NONE, kind, size)
+        got = back_project(sino, cfg).pixels
+        assert got.tobytes() == full_grid_back_project(sino, cfg).tobytes()
+
     def test_disk_is_symmetric(self):
         # only the disk's top-left quadrant is looked up, so the disk must be its own
         # reflection in x and in y and its own transpose, though pixel centers are not
@@ -862,9 +906,9 @@ class TestRowBlocks:
     @staticmethod
     def check_memory(angles, kind, cpus):
         # the 46 bytes a pixel of the largest grid that config._work counts: 56 for
-        # each packed pixel's planes, about 0.79 of them a pixel, and the quadrant's
-        # indices are not held with them; the rest, a few per-thread KiB and O(grid)
-        # vectors, does not grow with grid^2
+        # each packed pixel's planes, about 0.79 of them a pixel, and no pixel index is
+        # built; the rest, a few per-thread KiB and O(grid) vectors, does not grow with
+        # grid^2
         size = 400
         data = np.random.default_rng(3).standard_normal((40, len(angles)))
         sino = make_sinogram(data, angles, width=2.0)
